@@ -18,8 +18,7 @@ import time
 from .graph import (Graph, ColoredGraph, PartTuple, graph_from_spec,
                     is_delta_balanced)
 from .patterns import PatternProfile
-from .solvers import (is_simonovits, max_H_free, canonical_cut,
-                      TooLargeError, EnumerationCapError)
+from .solvers import is_simonovits, max_H_free, canonical_cut, TooLargeError
 from .randgraphs import RngStream, sample_gnp
 from . import bounds
 from .bounds import PAPER_DEFAULTS
@@ -118,7 +117,7 @@ def scan_threshold(pattern, n_grid, trials, seed, p_grid=None,
                 key = (n, g.edge_mask())
                 t0 = time.perf_counter()
                 if key not in cache:
-                    cache[key] = is_simonovits(g, h, profile=profile)
+                    cache[key] = is_simonovits(g, h)
                 verdict = cache[key]
                 elapsed += time.perf_counter() - t0
                 counts[verdict.decision] += 1
@@ -218,8 +217,7 @@ def cmd_simulate_switching(args):
 
 
 def verify_lemma(lemma, pattern="triangle", n=12, p=0.6, delta=0.4,
-                 trials=50, seed=0, constants=PAPER_DEFAULTS, sizes=None,
-                 eQ=None, kQ=None, beta=0.01, c=1.0, gamma=0.1):
+                 trials=50, seed=0, sizes=None, beta=0.01, c=1.0):
     """Standardised verification report for one named bound or lemma."""
     h = graph_from_spec(pattern)
     if lemma == "poisson":
@@ -454,8 +452,7 @@ def main(argv=None):
     except (KeyError, ValueError) as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return EXIT_CONFIG
-    except (TooLargeError, EnumerationCapError, GuardExceeded,
-            ConstructionInfeasible) as exc:
+    except (TooLargeError, GuardExceeded, ConstructionInfeasible) as exc:
         sys.stderr.write("guard refusal: %s\n" % exc)
         return EXIT_GUARD
 

@@ -299,6 +299,8 @@ def parse_graph(text):
     if len(head) != 2:
         raise ValueError("header must be 'n m'")
     n, m = int(head[0]), int(head[1])
+    if n < 0:
+        raise ValueError("negative vertex count %d" % n)
     if len(lines) - 1 != m:
         raise ValueError("expected %d edge lines, got %d" % (m, len(lines) - 1))
     edges = []
@@ -310,6 +312,18 @@ def parse_graph(text):
     if len({frozenset(e) for e in edges}) != len(edges):
         raise ValueError("duplicate edge")
     return Graph(n, edges)
+
+
+def parse_inline(text):
+    """Parse the inline format "n:u-v,u-v,..." ("n:" is the edgeless graph)
+    by rewriting it into the plain text format."""
+    head, _, body = text.partition(":")
+    toks = body.split(",") if body.strip() else []
+    for tok in toks:
+        if tok.count("-") != 1:
+            raise ValueError("bad edge token %r" % tok)
+    return parse_graph("\n".join(["%s %d" % (head, len(toks))]
+                                 + [tok.replace("-", " ") for tok in toks]))
 
 
 def format_graph(g):
@@ -392,6 +406,8 @@ def graph_from_spec(text_or_name):
     import os
     if os.path.exists(text_or_name):
         return load_graph(text_or_name)
+    if ":" in text_or_name:
+        return parse_inline(text_or_name)
     return parse_graph(text_or_name)
 
 

@@ -7,7 +7,6 @@ import random
 
 from .graph import Graph, edge_index, bitset_members, all_pairs
 from .copies import copies_as_hypergraph, link, boundary, induce
-from .bounds import PAPER_DEFAULTS
 
 ALGORITHM_ID = "mt19937-py"
 _MIX = 0x9E3779B97F4A7C15
@@ -39,8 +38,8 @@ def sample_gnp(n, p, rng):
     return Graph(n, edges)
 
 
-def typicality_report(g, h, p, constants=PAPER_DEFAULTS, part_families=(),
-                      qh_instances=(), pair_list=(), slack_sigmas=3.0):
+def typicality_report(g, h, p, part_families=(), qh_instances=(), pair_list=(),
+                      slack_sigmas=3.0):
     """Finite-size analogues of the typical-graph event list.
 
     T1: every degree within slack_sigmas binomial deviations of (n-1)p.

@@ -6,6 +6,7 @@ subgraph (chi(h)-1)-partite?), a canonical choice of maximum cut, and the
 dense-regime peeling argument.
 """
 
+import functools
 import itertools
 import random
 
@@ -14,6 +15,8 @@ from .copies import enumerate_copies
 from .patterns import is_edge_critical, dense_min_degree_bound
 
 EXACT_CUT_GUARD = 5_000_000
+SOL_CAP = 1_000_000      # optimal transversals listed before giving up
+NODE_CAP = 50_000_000    # search nodes visited before giving up
 
 
 class TooLargeError(Exception):
@@ -155,39 +158,35 @@ def canonical_cut(f, r):
 
 # -- minimum transversals of the copy hypergraph -------------------------
 
+@functools.lru_cache(maxsize=1)
 def _copy_masks(g, h):
-    """Copies of h in g as bitmasks over g's edge list; returns (edges, masks)."""
-    edges = g.edges()
+    """Copies of h in g as bitmasks over g's edge list; returns (edges, masks).
+
+    One decision asks for the same (g, h) in several stages, so the last
+    result is kept.  Graphs hash by value and the result is made of tuples,
+    so another host never hits the cache and no caller can alter it.
+    """
+    edges = tuple(g.edges())
     pos = {e: i for i, e in enumerate(edges)}
-    masks = []
-    for copy in enumerate_copies(h, g):
-        masks.append(sum(1 << pos[e] for e in copy))
+    masks = tuple(sum(1 << pos[e] for e in copy)
+                  for copy in enumerate_copies(h, g))
     return edges, masks
 
 
-def _transversal_search(masks, seed_sol=None, pinned=None, sol_cap=None,
-                        node_cap=50_000_000):
-    """Branch and bound over deletion sets hitting every mask.
+def _transversal_search(masks, tau):
+    """Every deletion set of exactly tau elements hitting every mask.
 
-    With pinned=None finds the minimum size and one optimal deletion mask.
-    With pinned=tau enumerates every transversal of exactly that size.
-    Returns (best_size, [deletion masks]).  Propagates forced deletions
-    (masks with a single undecided element) and prunes with a greedy
-    packing of masks that are disjoint in their undecided elements.
+    Branch and bound that propagates forced deletions (masks with a single
+    undecided element) and prunes with a greedy packing of masks that are
+    disjoint in their undecided elements.  Returns the deletion masks;
+    raises EnumerationCapError past SOL_CAP solutions or NODE_CAP nodes.
     """
     sols = []
-    if pinned is not None:
-        best = [pinned]
-    elif seed_sol is not None:
-        best = [seed_sol.bit_count()]
-        sols = [seed_sol]
-    else:
-        best = [sum(m.bit_count() for m in masks)]
     nodes = [0]
 
     def rec(act, kept, dele, d):
         nodes[0] += 1
-        if nodes[0] > node_cap:
+        if nodes[0] > NODE_CAP:
             raise EnumerationCapError("transversal search node cap")
         while True:
             nact = []
@@ -205,7 +204,7 @@ def _transversal_search(masks, seed_sol=None, pinned=None, sol_cap=None,
                     nact.append(t)
             if forced:
                 d += forced.bit_count()
-                if d > best[0]:
+                if d > tau:
                     return
                 dele |= forced
                 act = nact
@@ -219,19 +218,12 @@ def _transversal_search(masks, seed_sol=None, pinned=None, sol_cap=None,
             if und & used == 0:
                 used |= und
                 lb += 1
-        if d + lb > best[0]:
+        if d + lb > tau:
             return
         if not act:
-            if pinned is None:
-                if d < best[0]:
-                    best[0] = d
-                    sols.clear()
-                    sols.append(dele)
-                elif d == best[0] and not sols:
-                    sols.append(dele)
-            elif d == pinned:
+            if d == tau:
                 sols.append(dele)
-                if sol_cap is not None and len(sols) > sol_cap:
+                if len(sols) > SOL_CAP:
                     raise EnumerationCapError("transversal solution cap")
             return
         pick = min(act, key=lambda t: (t & ~kept).bit_count())
@@ -244,7 +236,7 @@ def _transversal_search(masks, seed_sol=None, pinned=None, sol_cap=None,
             kd |= b
 
     rec(list(masks), 0, 0, 0)
-    return best[0], sols
+    return sols
 
 
 def _min_transversal_milp(masks, n_vars):
@@ -278,44 +270,26 @@ def max_H_free(g, h):
     """Size of a largest h-free subgraph of g and one witness.
 
     ex(g, h) = e(g) - tau where tau is the minimum transversal of the copy
-    hypergraph, found by an exact integer program (branch and bound
-    fallback seeded with the internal edges of a good r-cut, which hit
-    every copy since copies are not r-partite).
+    hypergraph, found by an exact integer program.
     """
     edges, masks = _copy_masks(g, h)
     if not masks:
         return g.edge_count(), g
-    try:
-        dele = _min_transversal_milp(masks, len(edges))
-        tau = dele.bit_count()
-    except ImportError:
-        r = h.chromatic_number() - 1
-        try:
-            part, _ = max_r_cut(g, r, mode="exact")
-        except TooLargeError:
-            part, _ = max_r_cut(g, r, mode="local")
-        assign = part.assignment()
-        seed_sol = 0
-        for i, (u, v) in enumerate(edges):
-            if assign[u] == assign[v]:
-                seed_sol |= 1 << i
-        tau, sols = _transversal_search(masks, seed_sol=seed_sol)
-        dele = sols[0]
+    dele = _min_transversal_milp(masks, len(edges))
     witness = Graph(g.n, [e for i, e in enumerate(edges)
                           if not dele >> i & 1])
     if enumerate_copies(h, witness):
         raise AssertionError("witness is not h-free")
-    return g.edge_count() - tau, witness
+    return g.edge_count() - dele.bit_count(), witness
 
 
-def enumerate_optimal_H_free(g, h, tau, sol_cap=1_000_000):
+def enumerate_optimal_H_free(g, h, tau):
     """All largest h-free subgraphs of g, given tau = e(g) - ex(g, h)."""
     edges, masks = _copy_masks(g, h)
     if not masks:
         return [g]
-    _, sols = _transversal_search(masks, pinned=tau, sol_cap=sol_cap)
     out = []
-    for dele in sols:
+    for dele in _transversal_search(masks, tau):
         out.append(Graph(g.n, [e for i, e in enumerate(edges)
                                if not dele >> i & 1]))
     return out
@@ -325,11 +299,11 @@ def free_edge_witness(g, h):
     """Subgraph of edges lying in no h-copy of g, if its chromatic number
     exceeds chi(h) - 1; else None.  Such a subgraph certifies a negative
     Simonovits answer: every maximum h-free subgraph contains all free edges."""
-    covered = set()
-    for copy in enumerate_copies(h, g):
-        covered |= copy
-    free = [e for e in g.edges() if e not in covered]
-    w = Graph(g.n, free)
+    edges, masks = _copy_masks(g, h)
+    covered = 0
+    for m in masks:
+        covered |= m
+    w = Graph(g.n, [e for i, e in enumerate(edges) if not covered >> i & 1])
     if w.chromatic_number() > h.chromatic_number() - 1:
         return w
     return None
@@ -359,8 +333,7 @@ class SimonovitsVerdict:
         return d
 
 
-def is_simonovits(g, h, profile=None, sol_cap=1_000_000,
-                  node_cap=50_000_000):
+def is_simonovits(g, h):
     """Decide whether every largest h-free subgraph of g is r-partite,
     r = chi(h) - 1.  Returns a SimonovitsVerdict with certificate."""
     r = h.chromatic_number() - 1
@@ -384,7 +357,7 @@ def is_simonovits(g, h, profile=None, sol_cap=1_000_000,
             reason="every optimum exceeds the best r-partite subgraph")
     tau = g.edge_count() - ex
     try:
-        optima = enumerate_optimal_H_free(g, h, tau, sol_cap=sol_cap)
+        optima = enumerate_optimal_H_free(g, h, tau)
     except EnumerationCapError as exc:
         return SimonovitsVerdict(
             "indeterminate", ex_size=ex, best_rpartite=best_rp,
@@ -402,7 +375,7 @@ def is_simonovits(g, h, profile=None, sol_cap=1_000_000,
 
 # -- dense-regime peeling ------------------------------------------------
 
-def dense_peel(g, h, profile=None):
+def dense_peel(g, h):
     """Peel low-degree vertices from a largest h-free subgraph of g.
 
     At current size k, any vertex of degree at most (3r-4)/(3r-1) * k is

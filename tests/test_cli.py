@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from simonovits import cli
+from simonovits import cli, solvers
+from simonovits.graph import complete_graph
 
 
 def run(argv):
@@ -121,3 +122,32 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert run(["analyze-pattern", "--pattern", "triangle",
                 "--json-out", str(out)]) == 0
     assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+
+def test_graph_formats(tmp_path):
+    out = tmp_path / "prof.json"
+    assert run(["analyze-pattern", "--pattern", "3:0-1,1-2,0-2",
+                "--json-out", str(out)]) == 0
+    inline = json.loads(out.read_text())
+    path = tmp_path / "tri.txt"
+    path.write_text("3 3\n0 1\n1 2\n0 2\n")
+    assert run(["analyze-pattern", "--pattern", str(path),
+                "--json-out", str(out)]) == 0
+    assert json.loads(out.read_text()) == inline
+    assert run(["check-simonovits", "--graph", "5:0-1,1-2,2-3,3-4,0-4",
+                "--pattern", "triangle",
+                "--json-out", str(tmp_path / "c5.json")]) == 3
+
+
+def test_malformed_inline_graphs_are_config_errors():
+    for spec in ("3:0-1,x", "3:0-1,1-3", "3:1-1", "3:0-1,1-0"):
+        assert run(["analyze-pattern", "--pattern", spec]) == 2
+
+
+def test_enumeration_cap_exits_indeterminate(tmp_path, monkeypatch):
+    monkeypatch.setattr(solvers, "SOL_CAP", 20)
+    k8 = "8:" + ",".join("%d-%d" % e for e in complete_graph(8).edges())
+    out = tmp_path / "k8.json"
+    assert run(["check-simonovits", "--graph", k8, "--pattern", "triangle",
+                "--json-out", str(out)]) == 4
+    assert json.loads(out.read_text())["decision"] == "indeterminate"

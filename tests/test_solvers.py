@@ -1,8 +1,12 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from simonovits import solvers
 from simonovits.graph import (Graph, complete_graph, cycle_graph,
                               named_graph, petersen_graph, disjoint_union,
-                              PartTuple)
+                              PartTuple, all_pairs)
 from simonovits.solvers import (max_r_cut, is_unfriendly, canonical_cut,
                                 max_H_free, enumerate_optimal_H_free,
                                 free_edge_witness, is_simonovits,
@@ -71,6 +75,63 @@ def test_enumerate_optima_counts():
         optima = enumerate_optimal_H_free(g, K3, g.edge_count() - ex)
         assert len(optima) == cnt
         assert all(f.edge_count() == ex for f in optima)
+
+
+def test_enumeration_cap_gives_indeterminate(monkeypatch):
+    # K8 has 35 largest triangle-free subgraphs, one per balanced bipartition
+    monkeypatch.setattr(solvers, "SOL_CAP", 20)
+    v = is_simonovits(complete_graph(8), K3)
+    assert v.decision == "indeterminate"
+    assert "cap" in v.reason
+    assert v.ex_size == 16 and v.best_rpartite == 16
+
+
+def _brute_force_verdict(g, h):
+    """(decision, ex, best r-partite, optima count) from every edge subset."""
+    edges = g.edges()
+    pos = {e: i for i, e in enumerate(edges)}
+    h_edges = h.edges()
+    copies = set()
+    for image in itertools.permutations(range(g.n), h.n):
+        pairs = [tuple(sorted((image[u], image[v]))) for (u, v) in h_edges]
+        if all(p in pos for p in pairs):
+            copies.add(sum(1 << pos[p] for p in pairs))
+    r = h.chromatic_number() - 1
+    cuts = set()
+    for assign in itertools.product(range(r), repeat=g.n):
+        cuts.add(sum(1 << i for i, (u, v) in enumerate(edges)
+                     if assign[u] != assign[v]))
+    free = [s for s in range(1 << len(edges))
+            if not any(c & s == c for c in copies)]
+    ex = max(s.bit_count() for s in free)
+    optima = [s for s in free if s.bit_count() == ex]
+    all_rp = all(any(s & ~c == 0 for c in cuts) for s in optima)
+    best_rp = max(c.bit_count() for c in cuts)
+    return "yes" if all_rp else "no", ex, best_rp, len(optima)
+
+
+@st.composite
+def _small_hosts(draw):
+    n = draw(st.integers(1, 8))
+    edges = draw(st.lists(st.sampled_from(list(all_pairs(n))), unique=True,
+                          max_size=12)) if n > 1 else []
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("pattern", ["triangle", "c5", "k4"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(g=_small_hosts())
+def test_decision_matches_brute_force(pattern, g):
+    h = named_graph(pattern)
+    decision, ex, best_rp, count = _brute_force_verdict(g, h)
+    v = is_simonovits(g, h)
+    assert v.decision == decision
+    if v.ex_size is not None:
+        assert v.ex_size == ex
+    if v.best_rpartite is not None:
+        assert v.best_rpartite == best_rp
+    if decision == "yes":
+        assert v.optima_count == count
 
 
 def test_free_edge_witness():
