@@ -21,7 +21,6 @@ from .patterns import PatternProfile
 from .solvers import is_simonovits, max_H_free, canonical_cut, TooLargeError
 from .randgraphs import RngStream, sample_gnp
 from . import bounds
-from .bounds import PAPER_DEFAULTS
 from .copies import residual_family
 from .rigidity import CutFamily, GuardExceeded, run_switching, validate_trace
 from .structure import ConstructionInfeasible
@@ -166,8 +165,7 @@ def cmd_scan_threshold(args):
     return EXIT_OK
 
 
-def simulate_switching(pattern, n, p, runs, rounds, m, seed, delta=0.4,
-                       d_budget=None, constants=PAPER_DEFAULTS):
+def simulate_switching(pattern, n, p, runs, rounds, m, seed, delta=0.4):
     """Seeded switching runs from a single-edge structure, each validated.
 
     Start cuts are drawn from the compatible balanced family with a bias
@@ -180,8 +178,6 @@ def simulate_switching(pattern, n, p, runs, rounds, m, seed, delta=0.4,
     q = ColoredGraph(q_graph, colour)
     fam = CutFamily(n, r, delta, q=q)
     fam_resid, _ = residual_family(h, q, n, "low")
-    if d_budget is None:
-        d_budget = n * n
     results = []
     for t in range(runs):
         g = sample_gnp(n, p, RngStream(seed, t)).with_edge(0, 1)
@@ -191,11 +187,9 @@ def simulate_switching(pattern, n, p, runs, rounds, m, seed, delta=0.4,
         pick = order[(t * len(order) // max(1, runs)) % len(order)]
         cut = fam.cut(pick)
         trace = run_switching(g, q, cut, fam_resid, fam, m=m, L=rounds,
-                              seed=seed * 1000003 + t, constants=constants,
-                              p=p)
-        check = validate_trace(trace, q, cut, d=d_budget, fam=fam,
-                               fam_resid=fam_resid, m=m,
-                               constants=constants, p=p)
+                              seed=seed * 1000003 + t, p=p)
+        check = validate_trace(trace, q, cut, d=n * n, fam=fam,
+                               fam_resid=fam_resid, m=m, p=p)
         results.append({"run": t, "steps": len(trace.steps),
                         "terminal": trace.terminal, "ok": check["ok"],
                         "violations": check["violations"],
@@ -296,7 +290,13 @@ def cmd_verify_lemma(args):
 # -- config-driven runs --------------------------------------------------
 
 def run_config(path):
-    """Execute a JSON config: {"command": ..., other keys per command}."""
+    """Execute a JSON config as the command line it stands for.
+
+    "command" names the subcommand; every other key is one of its long
+    options with dashes written as underscores.  A list is joined with
+    commas, true gives a bare flag, false or null leaves the option out, and
+    any other value is passed as str(value).
+    """
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -304,53 +304,25 @@ def run_config(path):
         raise ConfigError("cannot read config: %s" % exc)
     if not isinstance(cfg, dict) or "command" not in cfg:
         raise ConfigError("config must be an object with a 'command' key")
-    cmd = cfg["command"]
-    out = cfg.get("out")
-    if cmd == "scan-threshold":
-        rows, flagged = scan_threshold(
-            cfg.get("pattern", "triangle"), cfg.get("n_grid", [12]),
-            cfg.get("trials", 20), cfg.get("seed", 0),
-            p_grid=cfg.get("p_grid"),
-            multipliers=cfg.get("multipliers", DEFAULT_MULTIPLIERS),
-            timing=cfg.get("timing", True))
-        text = _scan_csv(rows)
-        if out:
-            _atomic_write(out, text)
+    argv = [str(cfg.pop("command"))]
+    for key, value in cfg.items():
+        if value is False or value is None:
+            continue
+        opt = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(opt)
+        elif isinstance(value, list):
+            argv.append("%s=%s" % (opt, ",".join(str(v) for v in value)))
         else:
-            sys.stdout.write(text)
-        return EXIT_OK
-    if cmd == "simulate-switching":
-        summary = simulate_switching(
-            cfg.get("pattern", "triangle"), cfg.get("n", 12),
-            cfg.get("p", 0.5), cfg.get("runs", 10), cfg.get("L", 200),
-            cfg.get("m", 3), cfg.get("seed", 0),
-            delta=cfg.get("delta", 0.4))
-        _emit(summary, out)
-        return EXIT_OK
-    if cmd == "verify-lemma":
-        rep = verify_lemma(cfg.get("lemma", "poisson"),
-                           pattern=cfg.get("pattern", "triangle"),
-                           n=cfg.get("n", 12), p=cfg.get("p", 0.6),
-                           delta=cfg.get("delta", 0.4),
-                           trials=cfg.get("trials", 50),
-                           seed=cfg.get("seed", 0),
-                           sizes=cfg.get("sizes"),
-                           beta=cfg.get("beta", 0.01), c=cfg.get("c", 1.0))
-        _emit(rep, out)
-        return EXIT_OK
-    if cmd == "analyze-pattern":
-        profile = PatternProfile(graph_from_spec(cfg.get("pattern",
-                                                         "triangle")))
-        _emit(profile.as_dict(), out)
-        return EXIT_OK
-    if cmd == "check-simonovits":
-        g = graph_from_spec(cfg["graph"])
-        h = graph_from_spec(cfg.get("pattern", "triangle"))
-        verdict = is_simonovits(g, h)
-        _emit(verdict.as_dict(), out)
-        return {"yes": EXIT_OK, "no": EXIT_NO,
-                "indeterminate": EXIT_INDET}[verdict.decision]
-    raise ConfigError("unknown command %r" % cmd)
+            argv.append("%s=%s" % (opt, value))
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        raise ConfigError("config %s is not a valid command line" % path)
+    unknown = sorted(set(cfg) - set(vars(args)))
+    if unknown:
+        raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
+    return args.func(args)
 
 
 def cmd_run_config(args):

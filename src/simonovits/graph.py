@@ -115,13 +115,6 @@ class Graph:
         g.adj[v] &= ~(1 << u)
         return g
 
-    def edge_subgraph(self, edges):
-        """Spanning subgraph with exactly the given edges (must exist here)."""
-        for (u, v) in edges:
-            if not self.has_edge(u, v):
-                raise ValueError("edge (%d, %d) not present" % (u, v))
-        return Graph(self.n, edges)
-
     def from_edge_mask(self, mask):
         """Spanning subgraph of K_n given by an edge bitmask."""
         edges = []
@@ -144,20 +137,6 @@ class Graph:
         vset = set(vertices)
         return Graph(self.n, [(u, v) for (u, v) in self.edges()
                               if u in vset and v in vset])
-
-    def union(self, other):
-        if other.n != self.n:
-            raise ValueError("vertex count mismatch")
-        g = Graph(self.n)
-        g.adj = [a | b for a, b in zip(self.adj, other.adj)]
-        return g
-
-    def difference(self, other):
-        if other.n != self.n:
-            raise ValueError("vertex count mismatch")
-        g = Graph(self.n)
-        g.adj = [a & ~b for a, b in zip(self.adj, other.adj)]
-        return g
 
     def is_connected(self):
         if self.n == 0:
@@ -210,55 +189,41 @@ class Graph:
             best = max(best, clique.bit_count())
         return best
 
-    def is_k_colourable(self, k):
-        colour = [-1] * self.n
-        order = sorted(range(self.n), key=lambda v: -self.degree(v))
-
-        def rec(i):
-            if i == len(order):
-                return True
-            v = order[i]
-            used = {colour[w] for w in self.neighbours(v) if colour[w] >= 0}
-            limit = min(k, max((colour[order[j]] for j in range(i)), default=-1) + 2)
-            for c in range(limit):
-                if c not in used:
-                    colour[v] = c
-                    if rec(i + 1):
-                        return True
-                    colour[v] = -1
-            return False
-
-        return rec(0)
-
     def chromatic_number(self):
         if self.edge_count() == 0:
             return 1 if self.n else 0
         lb = self.max_clique_greedy()
         ub = max(self.greedy_colouring()) + 1
         k = lb
-        while k < ub and not self.is_k_colourable(k):
+        while k < ub and self.proper_colouring(k) is None:
             k += 1
         return k
 
     def proper_colouring(self, k):
-        """Some proper colouring with colours 0..k-1, or None."""
+        """Some proper colouring with colours 0..k-1, or None.
+
+        Vertices are coloured in degree order, each trying colours only up
+        to one above the highest used so far: unused colours are
+        interchangeable, so this prunes symmetric branches without changing
+        the first colouring found.
+        """
         colour = [-1] * self.n
         order = sorted(range(self.n), key=lambda v: -self.degree(v))
 
-        def rec(i):
+        def rec(i, top):
             if i == len(order):
                 return True
             v = order[i]
             used = {colour[w] for w in self.neighbours(v) if colour[w] >= 0}
-            for c in range(k):
+            for c in range(min(k, top + 2)):
                 if c not in used:
                     colour[v] = c
-                    if rec(i + 1):
+                    if rec(i + 1, max(top, c)):
                         return True
                     colour[v] = -1
             return False
 
-        return colour if rec(0) else None
+        return colour if rec(0, -1) else None
 
     def is_bipartite(self):
         colour = [-1] * self.n
@@ -471,15 +436,6 @@ class PartTuple:
                 m |= 1 << edge_index(self.n, u, v)
         return m
 
-    def crosses(self, u, v):
-        a = b = -1
-        for k, p in enumerate(self.parts):
-            if u in p:
-                a = k
-            if v in p:
-                b = k
-        return a >= 0 and b >= 0 and a != b
-
     def canonical(self):
         """Unordered canonical form: parts sorted by their sorted member lists."""
         return tuple(sorted(tuple(sorted(p)) for p in self.parts))
@@ -546,10 +502,6 @@ class ColoredGraph:
         """Neighbours of v carrying colour k."""
         return frozenset(w for w in self.graph.neighbours(v)
                          if self.colour[w] == k)
-
-    def support(self):
-        return frozenset(v for v in range(self.graph.n)
-                         if self.colour[v] or self.graph.degree(v))
 
     def edge_count(self):
         return self.graph.edge_count()

@@ -44,7 +44,6 @@ class CutFamily:
                         forced[v] = c - 1
         self.assignments = []
         self.ext_masks = []
-        self.int_masks = []
         for assign in itertools.product(range(r), repeat=n):
             if any(assign[v] != k for v, k in forced.items()):
                 continue
@@ -54,16 +53,11 @@ class CutFamily:
             if not all(lo <= s <= hi for s in sizes):
                 continue
             ext = 0
-            intm = 0
             for (u, v) in itertools.combinations(range(n), 2):
-                b = 1 << edge_index(n, u, v)
                 if assign[u] != assign[v]:
-                    ext |= b
-                else:
-                    intm |= b
+                    ext |= 1 << edge_index(n, u, v)
             self.assignments.append(assign)
             self.ext_masks.append(ext)
-            self.int_masks.append(intm)
         if not self.assignments:
             raise ValueError("empty cut family")
 
@@ -89,14 +83,10 @@ class CutFamily:
         return b, [i for i, v in enumerate(vals) if v == b]
 
 
-def graph_mask(g):
-    return g.edge_mask()
-
-
 def deficit(cut, g, fam):
     """(best family cut value, deficit of the given cut)."""
     idx = fam.index_of(cut)
-    gm = graph_mask(g) if isinstance(g, Graph) else g
+    gm = g.edge_mask() if isinstance(g, Graph) else g
     b = fam.b_value(gm)
     mine = (gm & fam.ext_masks[idx]).bit_count()
     return b, b - mine
@@ -120,18 +110,18 @@ def rigidity_threshold(n, r, alpha, paper_literal=False):
     return (1 - alpha) * r * (s * (s - 1) / 2)
 
 
-def equivalence_and_rigidity(g, fam, alpha, paper_literal=False):
+def equivalence_and_rigidity(g, fam, alpha):
     """Pair agreement across all maximum cuts in the family.
 
     Returns a dict with the equivalent-pair count, equivalence classes,
     rigidity flag, and (when rigid) the core: the r classes larger than
     (1-4r*alpha)n/r, in canonical unordered form.
     """
-    gm = graph_mask(g) if isinstance(g, Graph) else g
+    gm = g.edge_mask() if isinstance(g, Graph) else g
     b, ids = fam.maxcut_ids(gm)
     classes = _equivalence_classes(fam, ids)
     pairs = sum(len(c) * (len(c) - 1) // 2 for c in classes)
-    thr = rigidity_threshold(fam.n, fam.r, alpha, paper_literal)
+    thr = rigidity_threshold(fam.n, fam.r, alpha)
     rigid = pairs >= thr
     core = None
     core_error = None
@@ -152,7 +142,7 @@ def crit_edges(g, fam, rigidity=None, alpha=None):
     """Edges of g crossing every maximum cut of the family.  When a
     rigidity result with a core is supplied (or alpha given to compute
     one), asserts crit contains the core-crossing edges of g."""
-    gm = graph_mask(g) if isinstance(g, Graph) else g
+    gm = g.edge_mask() if isinstance(g, Graph) else g
     b, ids = fam.maxcut_ids(gm)
     mask = gm
     for i in ids:
@@ -209,7 +199,7 @@ def _q_in_core(q, core):
 
 
 def _switch_branch(fam, q, q_mask, cut_idx, g_mask, f_mask, resid_masks,
-                   m, gamma_n2p, alpha, paper_literal=False):
+                   m, gamma_n2p, alpha):
     """Evaluate the branch conditions at one state.  Returns
     (type, sorted choice list of edge indices or None)."""
     union = g_mask | f_mask
@@ -217,7 +207,9 @@ def _switch_branch(fam, q, q_mask, cut_idx, g_mask, f_mask, resid_masks,
     crit = union
     for i in ids:
         crit &= fam.ext_masks[i]
-    int_mask = fam.int_masks[cut_idx]
+    n = fam.n
+    # internal pairs of the cut: its crossing pairs' complement within K_n
+    int_mask = ((1 << (n * (n - 1) // 2)) - 1) & ~fam.ext_masks[cut_idx]
     x_union = 0
     inside = g_mask & crit
     for w in resid_masks:
@@ -230,7 +222,7 @@ def _switch_branch(fam, q, q_mask, cut_idx, g_mask, f_mask, resid_masks,
     if (crit & int_mask).bit_count() >= gamma_n2p:
         choice = (g_mask & crit & int_mask) & ~q_mask
         return "b", bitset_members(choice)
-    rep = equivalence_and_rigidity(union, fam, alpha, paper_literal)
+    rep = equivalence_and_rigidity(union, fam, alpha)
     if not rep["rigid"]:
         choice = (g_mask & int_mask) & ~(crit | q_mask)
         return "c", bitset_members(choice)
@@ -241,7 +233,6 @@ def _switch_branch(fam, q, q_mask, cut_idx, g_mask, f_mask, resid_masks,
         return "stuck", None
     # step (d): smallest k whose colour class agrees with some core part in
     # at least one but not all maximum cuts
-    n = fam.n
     r = fam.r
     for k in range(1, r + 1):
         vk = [v for v, c in enumerate(q.colour) if c == k]
@@ -272,8 +263,7 @@ def _switch_branch(fam, q, q_mask, cut_idx, g_mask, f_mask, resid_masks,
 
 
 def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0,
-                  constants=PAPER_DEFAULTS, gamma=None, p=None,
-                  paper_literal=False):
+                  constants=PAPER_DEFAULTS, gamma=None, p=None):
     """Execute the switching algorithm for L rounds or until it stops.
 
     q: ColoredGraph structure contained in g0; cut: compatible balanced
@@ -306,7 +296,7 @@ def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0,
     for i in range(L):
         typ, choice = _switch_branch(fam, q, q_mask, cut_idx, g_mask,
                                      f_mask, resid_masks, m, gamma_n2p,
-                                     constants.alpha, paper_literal)
+                                     constants.alpha)
         if typ == "e":
             trace.terminal = {"reason": "e", "steps": i}
             break
@@ -329,7 +319,7 @@ def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0,
 
 
 def validate_trace(trace, q, cut, d, fam, fam_resid, m, gamma=None,
-                   constants=PAPER_DEFAULTS, p=None, paper_literal=False):
+                   constants=PAPER_DEFAULTS, p=None):
     """Re-execute the branch logic of a trace and check the legal-sequence
     properties.
 
@@ -367,7 +357,7 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, gamma=None,
         f_mask = trace.f_masks[idx]
         typ, choice = _switch_branch(fam, q, q_mask, cut_idx, g_mask,
                                      f_mask, resid_masks, m, gamma_n2p,
-                                     constants.alpha, paper_literal)
+                                     constants.alpha)
         if typ != step["type"]:
             violations.append((idx, "branch mismatch: recomputed %s, "
                                "recorded %s" % (typ, step["type"])))

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 
 import pytest
 
@@ -95,7 +97,7 @@ def test_verify_lemma_pif_balanced(tmp_path):
 
 def test_run_config_round_trip(tmp_path):
     cfg = {"command": "scan-threshold", "pattern": "triangle",
-           "n_grid": [8], "trials": 3, "seed": 5, "timing": False,
+           "n_grid": [8], "trials": 3, "seed": 5, "no_timing": True,
            "out": str(tmp_path / "scan.csv")}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -115,6 +117,112 @@ def test_run_config_errors(tmp_path):
     unk = tmp_path / "unk.json"
     unk.write_text(json.dumps({"command": "nope"}))
     assert run(["run-config", str(unk)]) == 2
+
+
+def _write_config(tmp_path, cfg, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_run_config_parses_values_like_the_command_line(tmp_path):
+    out = tmp_path / "scan.csv"
+    cfg = {"command": "scan-threshold", "pattern": "triangle", "n_grid": [8],
+           "trials": "3", "no_timing": True, "p_grid": None,
+           "out": str(out)}
+    assert run(["run-config", _write_config(tmp_path, cfg)]) == 0
+    for line in out.read_text().splitlines()[1:]:
+        cells = line.split(",")
+        assert int(cells[3]) + int(cells[4]) + int(cells[5]) == 3
+
+
+SCAN_CONFIG = {"command": "scan-threshold", "pattern": "triangle",
+               "n_grid": [8], "trials": 2, "out": "scan.csv"}
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(SCAN_CONFIG, trails=3),
+    dict(SCAN_CONFIG, timing=False),
+    {"command": "simulate-switching", "n": 8, "runs": 1, "L": 5,
+     "json_out": "sw.json"},
+    {"command": "analyze-pattern", "pattern": "triangle",
+     "out": "prof.json"},
+], ids=["trails", "timing", "L", "out-on-json-command"])
+def test_run_config_refuses_unknown_keys(tmp_path, monkeypatch, cfg):
+    monkeypatch.chdir(tmp_path)
+    assert run(["run-config", _write_config(tmp_path, cfg)]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_run_config_passes_rounds_json_out_and_zero_values(tmp_path):
+    out = tmp_path / "sw.json"
+    cfg = {"command": "simulate-switching", "n": 8, "p": 0.0, "runs": 1,
+           "rounds": 3, "seed": 0, "json_out": str(out)}
+    assert run(["run-config", _write_config(tmp_path, cfg)]) == 0
+    d = json.loads(out.read_text())
+    assert (d["L"], d["p"], d["seed"], d["runs"]) == (3, 0.0, 0, 1)
+    assert d["results"][0]["steps"] <= 3
+
+
+def test_run_config_refuses_nested_run_config(tmp_path):
+    inner = _write_config(tmp_path, {"command": "analyze-pattern",
+                                     "pattern": "triangle"}, "inner.json")
+    outer = _write_config(tmp_path, {"command": "run-config",
+                                     "config": inner})
+    assert run(["run-config", outer]) == 2
+
+
+def test_run_config_matches_command_line(tmp_path):
+    cli_out, cfg_out = tmp_path / "cli.csv", tmp_path / "cfg.csv"
+    assert run(["scan-threshold", "--pattern", "triangle", "--n-grid", "7,8",
+                "--multipliers", "0.5,1", "--trials", "3", "--seed", "4",
+                "--no-timing", "--out", str(cli_out)]) == 0
+    cfg = {"command": "scan-threshold", "pattern": "triangle",
+           "n_grid": [7, 8], "multipliers": [0.5, 1], "trials": 3, "seed": 4,
+           "no_timing": True, "out": str(cfg_out)}
+    assert run(["run-config", _write_config(tmp_path, cfg)]) == 0
+    assert cli_out.read_bytes() == cfg_out.read_bytes()
+
+
+def test_run_config_reports_indeterminate_cells(tmp_path, monkeypatch,
+                                                capsys):
+    # p = 1 samples K8, whose largest triangle-free subgraphs exceed the cap
+    monkeypatch.setattr(solvers, "SOL_CAP", 20)
+    cli_out, cfg_out = tmp_path / "cli.csv", tmp_path / "cfg.csv"
+    assert run(["scan-threshold", "--pattern", "triangle", "--n-grid", "8",
+                "--p-grid", "1.0", "--trials", "2", "--no-timing",
+                "--out", str(cli_out)]) == 0
+    cli_err = capsys.readouterr().err
+    cfg = {"command": "scan-threshold", "pattern": "triangle",
+           "n_grid": [8], "p_grid": [1.0], "trials": 2, "no_timing": True,
+           "out": str(cfg_out)}
+    assert run(["run-config", _write_config(tmp_path, cfg)]) == 0
+    cfg_err = capsys.readouterr().err
+    assert "fully indeterminate" in cli_err
+    assert cfg_err == cli_err
+    assert cli_out.read_bytes() == cfg_out.read_bytes()
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_examples_parse_and_run(tmp_path, monkeypatch):
+    text = open(README).read()
+    shell = "".join(re.findall(r"```sh\n(.*?)```", text, re.S))
+    commands = [line.strip() for line in
+                shell.replace("\\\n", " ").splitlines()
+                if line.startswith("simonovits ")]
+    assert len(commands) >= 7
+    parser = cli.build_parser()
+    for line in commands:
+        argv = shlex.split(line)[1:]
+        assert parser.parse_args(argv).command == argv[0]
+    configs = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert len(configs) == 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(configs[0])
+    assert cli.run_config("config.json") == 0
+    assert (tmp_path / "scan.csv").exists()
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
