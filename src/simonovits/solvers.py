@@ -4,6 +4,11 @@ Maximum r-cuts, maximum pattern-free subgraphs via minimum transversals of
 the copy hypergraph, the Simonovits decision (is every largest h-free
 subgraph (chi(h)-1)-partite?), a canonical choice of maximum cut, and the
 dense-regime peeling argument.
+
+The decision starts from the best r-cut, a lower bound on ex(g, h): one
+transversal search at that size either lists every optimum or finds a
+smaller transversal, and only in the second case does the integer program
+run, for the exact ex and a certificate.
 """
 
 import functools
@@ -25,6 +30,10 @@ class TooLargeError(Exception):
 
 class EnumerationCapError(Exception):
     pass
+
+
+class _ShorterTransversal(Exception):
+    """A transversal smaller than the requested size exists."""
 
 
 # -- maximum r-cuts ------------------------------------------------------
@@ -174,12 +183,15 @@ def _copy_masks(g, h):
 
 
 def _transversal_search(masks, tau):
-    """Every deletion set of exactly tau elements hitting every mask.
+    """Every deletion set of exactly tau elements hitting every mask, if
+    tau is the minimum transversal size; [] otherwise.
 
     Branch and bound that propagates forced deletions (masks with a single
     undecided element) and prunes with a greedy packing of masks that are
-    disjoint in their undecided elements.  Returns the deletion masks;
-    raises EnumerationCapError past SOL_CAP solutions or NODE_CAP nodes.
+    disjoint in their undecided elements.  Every minimal transversal of at
+    most tau elements is a leaf, so a tau above the minimum ends at the
+    first smaller leaf, and one below it finds none.  Raises
+    EnumerationCapError past SOL_CAP solutions or NODE_CAP nodes.
     """
     sols = []
     nodes = [0]
@@ -221,10 +233,11 @@ def _transversal_search(masks, tau):
         if d + lb > tau:
             return
         if not act:
-            if d == tau:
-                sols.append(dele)
-                if len(sols) > SOL_CAP:
-                    raise EnumerationCapError("transversal solution cap")
+            if d < tau:
+                raise _ShorterTransversal
+            sols.append(dele)
+            if len(sols) > SOL_CAP:
+                raise EnumerationCapError("transversal solution cap")
             return
         pick = min(act, key=lambda t: (t & ~kept).bit_count())
         x = pick & ~kept
@@ -235,7 +248,10 @@ def _transversal_search(masks, tau):
             rec(act, kd, dele | b, d + 1)
             kd |= b
 
-    rec(list(masks), 0, 0, 0)
+    try:
+        rec(list(masks), 0, 0, 0)
+    except _ShorterTransversal:
+        return []
     return sols
 
 
@@ -284,15 +300,26 @@ def max_H_free(g, h):
 
 
 def enumerate_optimal_H_free(g, h, tau):
-    """All largest h-free subgraphs of g, given tau = e(g) - ex(g, h)."""
+    """All largest h-free subgraphs of g if tau = e(g) - ex(g, h).
+
+    For any other tau the answer is [], which is exact: no largest h-free
+    subgraph has e(g) - tau edges.
+    """
     edges, masks = _copy_masks(g, h)
     if not masks:
-        return [g]
+        return [g] if tau == 0 else []
     out = []
     for dele in _transversal_search(masks, tau):
         out.append(Graph(g.n, [e for i, e in enumerate(edges)
                                if not dele >> i & 1]))
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _pattern_facts(h):
+    """(chi(h), whether h is edge-critical).  A scan decides many hosts
+    against one pattern, so each pattern is coloured once."""
+    return h.chromatic_number(), is_edge_critical(h)[0]
 
 
 def free_edge_witness(g, h):
@@ -304,7 +331,7 @@ def free_edge_witness(g, h):
     for m in masks:
         covered |= m
     w = Graph(g.n, [e for i, e in enumerate(edges) if not covered >> i & 1])
-    if w.chromatic_number() > h.chromatic_number() - 1:
+    if w.chromatic_number() > _pattern_facts(h)[0] - 1:
         return w
     return None
 
@@ -336,9 +363,9 @@ class SimonovitsVerdict:
 def is_simonovits(g, h):
     """Decide whether every largest h-free subgraph of g is r-partite,
     r = chi(h) - 1.  Returns a SimonovitsVerdict with certificate."""
-    r = h.chromatic_number() - 1
-    critical, _ = is_edge_critical(h)
-    if not critical and g.chromatic_number() >= h.chromatic_number():
+    chi, critical = _pattern_facts(h)
+    r = chi - 1
+    if not critical and g.chromatic_number() >= chi:
         return SimonovitsVerdict(
             "no", reason="pattern not edge-critical: no host of chromatic "
                          "number >= chi(pattern) has the property")
@@ -347,29 +374,33 @@ def is_simonovits(g, h):
         return SimonovitsVerdict(
             "no", certificate=w,
             reason="free edges span a non-r-partite subgraph")
-    ex, witness = max_H_free(g, h)
     _, best_rp = max_r_cut(g, r, mode="exact")
-    if best_rp < ex:
+    cap = None
+    try:
+        # ex >= best_rp, so [] means that no optimum has best_rp edges
+        optima = enumerate_optimal_H_free(g, h, g.edge_count() - best_rp)
+    except EnumerationCapError as exc:
+        cap, optima = exc, []
+    if not optima:
+        ex, witness = max_H_free(g, h)
+        if ex == best_rp:  # only when the cap stopped the enumeration
+            return SimonovitsVerdict(
+                "indeterminate", ex_size=ex, best_rpartite=best_rp,
+                reason="optimum enumeration exceeded cap: %s" % cap)
         if witness.chromatic_number() <= r:
             raise AssertionError("optimum claims r-partite below cut bound")
         return SimonovitsVerdict(
             "no", ex_size=ex, best_rpartite=best_rp, certificate=witness,
             reason="every optimum exceeds the best r-partite subgraph")
-    tau = g.edge_count() - ex
-    try:
-        optima = enumerate_optimal_H_free(g, h, tau)
-    except EnumerationCapError as exc:
-        return SimonovitsVerdict(
-            "indeterminate", ex_size=ex, best_rpartite=best_rp,
-            reason="optimum enumeration exceeded cap: %s" % exc)
     for f in optima:
         if f.chromatic_number() > r:
             return SimonovitsVerdict(
-                "no", ex_size=ex, best_rpartite=best_rp, certificate=f,
+                "no", ex_size=best_rp, best_rpartite=best_rp, certificate=f,
                 optima_count=len(optima),
                 reason="found a non-r-partite optimum")
     return SimonovitsVerdict(
-        "yes", ex_size=ex, best_rpartite=best_rp, optima_count=len(optima),
+        "yes", ex_size=best_rp, best_rpartite=best_rp,
+        optima_count=len(optima),
         reason="all optima r-partite")
 
 

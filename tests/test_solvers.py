@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from simonovits import solvers
 from simonovits.graph import (Graph, complete_graph, cycle_graph,
                               named_graph, petersen_graph, disjoint_union,
-                              PartTuple, all_pairs)
+                              parse_inline, PartTuple, all_pairs)
 from simonovits.solvers import (max_r_cut, is_unfriendly, canonical_cut,
                                 max_H_free, enumerate_optimal_H_free,
                                 free_edge_witness, is_simonovits,
-                                dense_peel, augment_rpartite, TooLargeError)
+                                dense_peel, augment_rpartite, TooLargeError,
+                                EnumerationCapError)
 
 K3 = named_graph("triangle")
 K4 = named_graph("k4")
@@ -75,6 +76,43 @@ def test_enumerate_optima_counts():
         optima = enumerate_optimal_H_free(g, K3, g.edge_count() - ex)
         assert len(optima) == cnt
         assert all(f.edge_count() == ex for f in optima)
+    # any tau but the minimum (4 on K5) has no optimum of e(g) - tau edges
+    g = complete_graph(5)
+    assert enumerate_optimal_H_free(g, K3, 5) == []
+    assert enumerate_optimal_H_free(g, K3, 3) == []
+
+
+def test_cut_optimal_host_needs_no_milp(monkeypatch):
+    def refuse(masks, n_vars):
+        raise AssertionError("MILP called on a host whose ex is its best cut")
+    monkeypatch.setattr(solvers, "_min_transversal_milp", refuse)
+    v = is_simonovits(complete_graph(8), K3)
+    assert v.decision == "yes" and v.optima_count == 35
+
+
+# ex = 7 (delete 0-3) beats the best bipartite subgraph, 6 edges
+ABOVE_CUT = parse_inline("6:0-1,0-2,0-3,0-4,1-3,2-5,3-4,3-5")
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_optimum_above_cut_runs_one_milp(monkeypatch, capped):
+    if capped:
+        # the enumeration stops at its first node, and the MILP decides
+        monkeypatch.setattr(solvers, "NODE_CAP", 0)
+        with pytest.raises(EnumerationCapError):
+            enumerate_optimal_H_free(ABOVE_CUT, K3, 2)
+    calls = []
+    milp = solvers._min_transversal_milp
+
+    def counted(masks, n_vars):
+        calls.append(n_vars)
+        return milp(masks, n_vars)
+    monkeypatch.setattr(solvers, "_min_transversal_milp", counted)
+    v = is_simonovits(ABOVE_CUT, K3)
+    assert (v.decision, v.ex_size, v.best_rpartite) == ("no", 7, 6)
+    assert v.reason.startswith("every optimum exceeds")
+    assert v.certificate.edge_count() == 7
+    assert len(calls) == 1
 
 
 def test_enumeration_cap_gives_indeterminate(monkeypatch):
