@@ -171,6 +171,7 @@ def simulate_switching(pattern, n, p, runs, rounds, m, seed, delta=0.4):
     Start cuts are drawn from the compatible balanced family with a bias
     towards positive deficit so the removal branches are exercised.
     """
+    import numpy as np
     h = graph_from_spec(pattern)
     r = h.chromatic_number() - 1
     q_graph = Graph(n, [(0, 1)])
@@ -181,10 +182,8 @@ def simulate_switching(pattern, n, p, runs, rounds, m, seed, delta=0.4):
     results = []
     for t in range(runs):
         g = sample_gnp(n, p, RngStream(seed, t)).with_edge(0, 1)
-        gm = g.edge_mask()
-        vals = [(gm & e).bit_count() for e in fam.ext_masks]
-        order = sorted(range(len(fam)), key=lambda i: vals[i])
-        pick = order[(t * len(order) // max(1, runs)) % len(order)]
+        order = np.argsort(fam.values(g.edge_mask()), kind="stable")
+        pick = int(order[(t * len(order) // max(1, runs)) % len(order)])
         cut = fam.cut(pick)
         trace = run_switching(g, q, cut, fam_resid, fam, m=m, L=rounds,
                               seed=seed * 1000003 + t, p=p)

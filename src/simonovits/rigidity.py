@@ -2,11 +2,12 @@
 switching algorithm with its trace validator.
 
 All cut-family quantities are computed over the explicit list of balanced
-compatible r-part assignments; rigidity depends on the full argmax set, so
-enumeration is exact with a hard guard and never sampled.
+compatible r-part assignments, kept beside a packed matrix of their crossing
+masks (64-bit words) so that one numpy popcount scores every cut; rigidity
+depends on the full argmax set, so enumeration is exact with a hard guard
+and never sampled.
 """
 
-import itertools
 import math
 import random
 
@@ -15,6 +16,10 @@ from .graph import Graph, PartTuple, ColoredGraph, edge_index, \
 from .bounds import PAPER_DEFAULTS
 
 FAMILY_GUARD = 10 ** 8
+# assignments enumerated per numpy chunk: larger chunks raise peak memory
+# (their temporaries outgrow the kept family) and gain no speed
+_CHUNK = 1 << 12
+_WORD = (1 << 64) - 1
 
 
 class GuardExceeded(Exception):
@@ -24,9 +29,16 @@ class GuardExceeded(Exception):
 class CutFamily:
     """All delta-balanced complete r-part assignments of [n] compatible
     with an optional coloured structure (vertices coloured k must land in
-    part k-1)."""
+    part k-1), in ``itertools.product`` order.
+
+    ``assignments`` holds each assignment as a tuple and ``ext_masks`` its
+    crossing pairs as an int bitmask in ``edge_index`` order; ``_words``
+    holds the same bitmasks packed into 64-bit words, one row per word, so
+    that ``values`` scores every cut with one popcount per word.
+    """
 
     def __init__(self, n, r, delta, q=None, guard=FAMILY_GUARD):
+        import numpy as np
         if r ** n > guard:
             raise GuardExceeded("cut family too large: %d^%d" % (r, n))
         self.n = n
@@ -42,24 +54,41 @@ class CutFamily:
                 for v, c in enumerate(colour):
                     if c >= 1:
                         forced[v] = c - 1
+        us, vs = np.triu_indices(n, 1)      # pairs in edge_index order
+        n_words = max(1, -(-len(us) // 64))
+        step = n_words * 8
+        # base-r digits of the index, most significant first, enumerate the
+        # assignments in itertools.product order
+        place = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        digit_type = np.min_scalar_type(r - 1)
         self.assignments = []
         self.ext_masks = []
-        for assign in itertools.product(range(r), repeat=n):
-            if any(assign[v] != k for v, k in forced.items()):
+        chunks = []
+        total = r ** n
+        for start in range(0, total, _CHUNK):
+            idx = np.arange(start, min(start + _CHUNK, total),
+                            dtype=np.int64)
+            digits = (idx[:, None] // place % r).astype(digit_type)
+            keep = np.ones(len(idx), dtype=bool)
+            for v, k in forced.items():
+                keep &= digits[:, v] == k
+            for k in range(r):
+                size = np.count_nonzero(digits == k, axis=1)
+                keep &= (lo <= size) & (size <= hi)
+            digits = digits[keep]
+            if not len(digits):
                 continue
-            sizes = [0] * r
-            for a in assign:
-                sizes[a] += 1
-            if not all(lo <= s <= hi for s in sizes):
-                continue
-            ext = 0
-            for (u, v) in itertools.combinations(range(n), 2):
-                if assign[u] != assign[v]:
-                    ext |= 1 << edge_index(n, u, v)
-            self.assignments.append(assign)
-            self.ext_masks.append(ext)
+            cross = np.zeros((len(digits), n_words * 64), dtype=bool)
+            cross[:, :len(us)] = digits[:, us] != digits[:, vs]
+            packed = np.packbits(cross, axis=1, bitorder="little")
+            buf = packed.tobytes()
+            self.assignments.extend(map(tuple, digits.tolist()))
+            self.ext_masks.extend(int.from_bytes(buf[i:i + step], "little")
+                                  for i in range(0, len(buf), step))
+            chunks.append(packed.view("<u8"))
         if not self.assignments:
             raise ValueError("empty cut family")
+        self._words = np.ascontiguousarray(np.concatenate(chunks).T)
 
     def __len__(self):
         return len(self.assignments)
@@ -74,13 +103,22 @@ class CutFamily:
     def cut(self, idx):
         return PartTuple.from_assignment(list(self.assignments[idx]), self.r)
 
+    def values(self, g_mask):
+        """Crossing count of g_mask for every cut, as an int32 array."""
+        import numpy as np
+        vals = np.zeros(len(self), dtype=np.int32)
+        for w, col in enumerate(self._words):
+            word = np.uint64((g_mask >> (64 * w)) & _WORD)
+            vals += np.bitwise_count(col & word)
+        return vals
+
     def b_value(self, g_mask):
-        return max((g_mask & e).bit_count() for e in self.ext_masks)
+        return int(self.values(g_mask).max())
 
     def maxcut_ids(self, g_mask):
-        vals = [(g_mask & e).bit_count() for e in self.ext_masks]
-        b = max(vals)
-        return b, [i for i, v in enumerate(vals) if v == b]
+        vals = self.values(g_mask)
+        b = vals.max()
+        return int(b), (vals == b).nonzero()[0].tolist()
 
 
 def deficit(cut, g, fam):

@@ -2,6 +2,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,17 @@ from simonovits.graph import complete_graph
 
 def run(argv):
     return cli.main(argv)
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy is imported inside the functions that use it, so CLI start-up
+    # does not pay for its import
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, simonovits.cli; print('numpy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert res.stdout.strip() == "False"
 
 
 def test_analyze_pattern(tmp_path):

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from simonovits.graph import (Graph, ColoredGraph, PartTuple,
                               complete_graph, cycle_graph, named_graph,
-                              all_pairs)
+                              all_pairs, edge_index)
 from simonovits.randgraphs import RngStream, sample_gnp
 from simonovits.copies import residual_family
 from simonovits import rigidity
@@ -39,6 +40,76 @@ def test_cut_family_respects_colours():
 def test_cut_family_guard():
     with pytest.raises(GuardExceeded):
         CutFamily(40, 2, 0.4)
+
+
+def _reference_family(n, r, delta, forced):
+    """The itertools.product loop that built CutFamily before it moved to
+    numpy chunks: (assignments, crossing masks)."""
+    lo = (1 - delta) * n / r
+    hi = (1 + delta) * n / r
+    assignments, ext_masks = [], []
+    for assign in itertools.product(range(r), repeat=n):
+        if any(assign[v] != k for v, k in forced.items()):
+            continue
+        sizes = [0] * r
+        for a in assign:
+            sizes[a] += 1
+        if not all(lo <= s <= hi for s in sizes):
+            continue
+        ext = 0
+        for (u, v) in itertools.combinations(range(n), 2):
+            if assign[u] != assign[v]:
+                ext |= 1 << edge_index(n, u, v)
+        assignments.append(assign)
+        ext_masks.append(ext)
+    return assignments, ext_masks
+
+
+# n = 2, 5, 11 fit C(n, 2) pairs in one 64-bit word, n = 12, 13 need two;
+# odd n at delta 0 and every n = 2 family with r = 4 are empty
+FAMILY_CASES = (
+    [(n, 2, d, c) for n in (2, 5, 11, 12, 13) for d in (0, 0.4, 0.999)
+     for c in (False, True)]
+    + [(n, r, d, c) for r in (3, 4) for n in (2, 5) for d in (0, 0.4, 0.999)
+       for c in (False, True)]
+    + [(11, 3, 0.4, True), (12, 3, 0.4, True), (9, 4, 0.4, True),
+       (8, 4, 0.999, True)])
+
+
+@pytest.mark.parametrize("n,r,delta,coloured", FAMILY_CASES)
+def test_cut_family_matches_product_loop(n, r, delta, coloured):
+    q = _q_pair(n) if coloured else None
+    ref_assign, ref_ext = _reference_family(
+        n, r, delta, {0: 0, 1: 1} if coloured else {})
+    if not ref_assign:
+        with pytest.raises(ValueError):
+            CutFamily(n, r, delta, q=q)
+        return
+    fam = CutFamily(n, r, delta, q=q)
+    assert fam.assignments == ref_assign
+    assert fam.ext_masks == ref_ext
+    assert all(type(a) is tuple and all(type(x) is int for x in a)
+               for a in fam.assignments)
+    assert all(type(e) is int for e in fam.ext_masks)
+    rng = random.Random(n * 1000 + r * 100 + int(delta * 10) + coloured)
+    for _ in range(30):
+        gm = rng.getrandbits(n * (n - 1) // 2)
+        vals = [(gm & e).bit_count() for e in ref_ext]
+        b = max(vals)
+        assert fam.values(gm).tolist() == vals
+        assert type(fam.b_value(gm)) is int and fam.b_value(gm) == b
+        got_b, got_ids = fam.maxcut_ids(gm)
+        assert type(got_b) is int and all(type(i) is int for i in got_ids)
+        assert (got_b, got_ids) == (b, [i for i, v in enumerate(vals)
+                                        if v == b])
+
+
+def test_cut_family_digits_wider_than_a_byte():
+    # a delta this wide keeps every assignment, empty parts included
+    r = 257
+    fam = CutFamily(2, r, r)
+    assert fam.assignments == list(itertools.product(range(r), repeat=2))
+    assert fam.ext_masks == [int(a != b) for a, b in fam.assignments]
 
 
 def test_cut_roundtrip_and_b_value():
