@@ -99,9 +99,10 @@ def automorphism_count(h):
 def enumerate_copies(h, host):
     """All subgraphs of host isomorphic to h, each as a frozenset of
     (u, v) edge pairs with u < v."""
+    edges = h.edges()
     seen = set()
     for img in embeddings(h, host):
-        es = frozenset(tuple(sorted((img[u], img[v]))) for (u, v) in h.edges())
+        es = frozenset(tuple(sorted((img[u], img[v]))) for (u, v) in edges)
         seen.add(es)
     return sorted(seen)
 

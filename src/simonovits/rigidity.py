@@ -1,24 +1,21 @@
 """Cut families, deficits, rigidity, cores, critical edges, and the
 switching algorithm with its trace validator.
 
-All cut-family quantities are computed over the explicit list of balanced
-compatible r-part assignments, kept beside a packed matrix of their crossing
-masks (64-bit words) so that one numpy popcount scores every cut; rigidity
-depends on the full argmax set, so enumeration is exact with a hard guard
-and never sampled.
+A cut family is every balanced compatible r-part assignment, stored once:
+a digit array with one row per assignment, and a packed matrix of their
+crossing masks (64-bit words) so that one numpy popcount scores every cut;
+rigidity depends on the full argmax set, so enumeration is exact with a
+hard guard and never sampled.
 """
 
 import math
 import random
 
 from .graph import Graph, PartTuple, ColoredGraph, edge_index, \
-    edge_from_index, bitset_members
+    edge_from_index, bitset_members, assignment_chunks
 from .bounds import PAPER_DEFAULTS
 
 FAMILY_GUARD = 10 ** 8
-# assignments enumerated per numpy chunk: larger chunks raise peak memory
-# (their temporaries outgrow the kept family) and gain no speed
-_CHUNK = 1 << 12
 _WORD = (1 << 64) - 1
 
 
@@ -31,10 +28,11 @@ class CutFamily:
     with an optional coloured structure (vertices coloured k must land in
     part k-1), in ``itertools.product`` order.
 
-    ``assignments`` holds each assignment as a tuple and ``ext_masks`` its
-    crossing pairs as an int bitmask in ``edge_index`` order; ``_words``
-    holds the same bitmasks packed into 64-bit words, one row per word, so
-    that ``values`` scores every cut with one popcount per word.
+    ``assignments`` is a numpy array with one row of part digits per
+    assignment; ``_words`` holds the crossing pairs of each assignment, in
+    ``edge_index`` order, packed into 64-bit words (one row per word, one
+    column per assignment), so that ``values`` scores every cut with one
+    popcount per word.
     """
 
     def __init__(self, n, r, delta, q=None, guard=FAMILY_GUARD):
@@ -43,35 +41,18 @@ class CutFamily:
             raise GuardExceeded("cut family too large: %d^%d" % (r, n))
         self.n = n
         self.r = r
-        self.delta = delta
-        self.q = q
         lo = (1 - delta) * n / r
         hi = (1 + delta) * n / r
-        forced = {}
-        if q is not None:
-            colour = q.colour if isinstance(q, ColoredGraph) else None
-            if colour:
-                for v, c in enumerate(colour):
-                    if c >= 1:
-                        forced[v] = c - 1
+        colour = q.colour if isinstance(q, ColoredGraph) else ()
         us, vs = np.triu_indices(n, 1)      # pairs in edge_index order
         n_words = max(1, -(-len(us) // 64))
-        step = n_words * 8
-        # base-r digits of the index, most significant first, enumerate the
-        # assignments in itertools.product order
-        place = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        digit_type = np.min_scalar_type(r - 1)
-        self.assignments = []
-        self.ext_masks = []
-        chunks = []
-        total = r ** n
-        for start in range(0, total, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, total),
-                            dtype=np.int64)
-            digits = (idx[:, None] // place % r).astype(digit_type)
-            keep = np.ones(len(idx), dtype=bool)
-            for v, k in forced.items():
-                keep &= digits[:, v] == k
+        kept = []
+        words = []
+        for digits in assignment_chunks(n, r):
+            keep = np.ones(len(digits), dtype=bool)
+            for v, c in enumerate(colour):
+                if c >= 1:
+                    keep &= digits[:, v] == c - 1
             for k in range(r):
                 size = np.count_nonzero(digits == k, axis=1)
                 keep &= (lo <= size) & (size <= hi)
@@ -80,28 +61,31 @@ class CutFamily:
                 continue
             cross = np.zeros((len(digits), n_words * 64), dtype=bool)
             cross[:, :len(us)] = digits[:, us] != digits[:, vs]
+            kept.append(digits)
             packed = np.packbits(cross, axis=1, bitorder="little")
-            buf = packed.tobytes()
-            self.assignments.extend(map(tuple, digits.tolist()))
-            self.ext_masks.extend(int.from_bytes(buf[i:i + step], "little")
-                                  for i in range(0, len(buf), step))
-            chunks.append(packed.view("<u8"))
-        if not self.assignments:
+            words.append(np.ascontiguousarray(packed.view("<u8").T))
+        if not kept:
             raise ValueError("empty cut family")
-        self._words = np.ascontiguousarray(np.concatenate(chunks).T)
+        self.assignments = np.concatenate(kept)
+        self._words = np.concatenate(words, axis=1)
 
     def __len__(self):
         return len(self.assignments)
 
     def index_of(self, cut):
-        assign = tuple(cut.assignment())
-        try:
-            return self.assignments.index(assign)
-        except ValueError:
-            raise ValueError("cut not in family")
+        """Index of a complete cut's assignment; ValueError if the family
+        does not hold it."""
+        import numpy as np
+        assign = cut.assignment()
+        if len(assign) == self.n:
+            hits = np.flatnonzero((self.assignments == assign).all(axis=1))
+            if len(hits):
+                return int(hits[0])
+        raise ValueError("cut not in family")
 
     def cut(self, idx):
-        return PartTuple.from_assignment(list(self.assignments[idx]), self.r)
+        return PartTuple.from_assignment(self.assignments[idx].tolist(),
+                                         self.r)
 
     def values(self, g_mask):
         """Crossing count of g_mask for every cut, as an int32 array."""
@@ -120,21 +104,27 @@ class CutFamily:
         b = vals.max()
         return int(b), (vals == b).nonzero()[0].tolist()
 
+    def crossed_by_all(self, ids):
+        """Bitmask of the pairs that cross every cut in ids (nonempty)."""
+        import numpy as np
+        words = np.bitwise_and.reduce(self._words[:, ids], axis=1)
+        return sum(int(w) << (64 * i) for i, w in enumerate(words))
+
 
 def deficit(cut, g, fam):
     """(best family cut value, deficit of the given cut)."""
     idx = fam.index_of(cut)
     gm = g.edge_mask() if isinstance(g, Graph) else g
-    b = fam.b_value(gm)
-    mine = (gm & fam.ext_masks[idx]).bit_count()
-    return b, b - mine
+    vals = fam.values(gm)
+    b = int(vals.max())
+    return b, b - int(vals[idx])
 
 
 def _equivalence_classes(fam, maxcut_ids):
+    """Vertices grouped by their part in every cut of maxcut_ids."""
     sig = {}
-    for v in range(fam.n):
-        sig.setdefault(
-            tuple(fam.assignments[i][v] for i in maxcut_ids), []).append(v)
+    for v, col in enumerate(fam.assignments[maxcut_ids].T):
+        sig.setdefault(col.tobytes(), []).append(v)
     return sorted(sig.values(), key=lambda c: (-len(c), c))
 
 
@@ -156,7 +146,11 @@ def equivalence_and_rigidity(g, fam, alpha):
     (1-4r*alpha)n/r, in canonical unordered form.
     """
     gm = g.edge_mask() if isinstance(g, Graph) else g
-    b, ids = fam.maxcut_ids(gm)
+    return _rigidity(fam, *fam.maxcut_ids(gm), alpha)
+
+
+def _rigidity(fam, b, ids, alpha):
+    """equivalence_and_rigidity from the maximum b and its cut ids."""
     classes = _equivalence_classes(fam, ids)
     pairs = sum(len(c) * (len(c) - 1) // 2 for c in classes)
     thr = rigidity_threshold(fam.n, fam.r, alpha)
@@ -182,11 +176,9 @@ def crit_edges(g, fam, rigidity=None, alpha=None):
     one), asserts crit contains the core-crossing edges of g."""
     gm = g.edge_mask() if isinstance(g, Graph) else g
     b, ids = fam.maxcut_ids(gm)
-    mask = gm
-    for i in ids:
-        mask &= fam.ext_masks[i]
+    mask = gm & fam.crossed_by_all(ids)
     if rigidity is None and alpha is not None:
-        rigidity = equivalence_and_rigidity(gm, fam, alpha)
+        rigidity = _rigidity(fam, b, ids, alpha)
     if rigidity and rigidity.get("core") is not None:
         core_ext = rigidity["core"].ext_mask() & gm
         if core_ext & ~mask:
@@ -236,68 +228,66 @@ def _q_in_core(q, core):
     return True
 
 
-def _switch_branch(fam, q, q_mask, cut_idx, g_mask, f_mask, resid_masks,
+def _switch_branch(fam, q, q_mask, ext_cut, g_mask, f_mask, resid_masks,
                    m, gamma_n2p, alpha):
-    """Evaluate the branch conditions at one state.  Returns
-    (type, sorted choice list of edge indices or None)."""
+    """Evaluate the branch conditions at one state, whose cut crosses the
+    pairs of ext_cut.  Returns (type, sorted choice list of edge indices or
+    None, maximum cut value of g_mask | f_mask)."""
     union = g_mask | f_mask
     b, ids = fam.maxcut_ids(union)
-    crit = union
-    for i in ids:
-        crit &= fam.ext_masks[i]
+    crit = union & fam.crossed_by_all(ids)
     n = fam.n
     # internal pairs of the cut: its crossing pairs' complement within K_n
-    int_mask = ((1 << (n * (n - 1) // 2)) - 1) & ~fam.ext_masks[cut_idx]
+    int_mask = ((1 << (n * (n - 1) // 2)) - 1) & ~ext_cut
     x_union = 0
     inside = g_mask & crit
     for w in resid_masks:
-        if w & ~inside:
-            continue
-        if w & int_mask:
+        if not w & ~inside:
             x_union |= w & int_mask
     if x_union.bit_count() >= m:
-        return "a", bitset_members(x_union)
+        return "a", bitset_members(x_union), b
     if (crit & int_mask).bit_count() >= gamma_n2p:
         choice = (g_mask & crit & int_mask) & ~q_mask
-        return "b", bitset_members(choice)
-    rep = equivalence_and_rigidity(union, fam, alpha)
+        return "b", bitset_members(choice), b
+    rep = _rigidity(fam, b, ids, alpha)
     if not rep["rigid"]:
         choice = (g_mask & int_mask) & ~(crit | q_mask)
-        return "c", bitset_members(choice)
+        return "c", bitset_members(choice), b
     core = rep["core"]
     if core is not None and _q_in_core(q, core):
-        return "e", None
+        return "e", None, b
     if core is None:
-        return "stuck", None
+        return "stuck", None, b
     # step (d): smallest k whose colour class agrees with some core part in
     # at least one but not all maximum cuts
-    r = fam.r
-    for k in range(1, r + 1):
+    maxcuts = fam.assignments[ids]
+    for k in range(1, fam.r + 1):
         vk = [v for v, c in enumerate(q.colour) if c == k]
         if not vk:
             continue
         rep_v = vk[0]
         eligible_parts = []
         for part in core.parts:
-            w = sorted(part)[0]
-            agree = [fam.assignments[i][rep_v] == fam.assignments[i][w]
-                     for i in rep["maxcut_ids"]]
-            if any(agree) and not all(agree):
+            agree = maxcuts[:, rep_v] == maxcuts[:, min(part)]
+            if agree.any() and not agree.all():
                 eligible_parts.append(part)
         if eligible_parts:
             target = set().union(*eligible_parts)
-            ext_cut = fam.ext_masks[cut_idx]
-            choice = []
-            for u in vk:
-                for w in target:
-                    if u == w:
-                        continue
-                    bi = edge_index(n, u, w)
-                    bbit = 1 << bi
-                    if (ext_cut & bbit) and not ((g_mask | f_mask) & bbit):
-                        choice.append(bi)
-            return "d", sorted(set(choice))
-    return "stuck", None
+            pairs = {edge_index(n, u, w) for u in vk for w in target if u != w}
+            # crossing pairs of the cut that are in neither G nor F
+            addable = ext_cut & ~union
+            return "d", sorted(e for e in pairs if addable >> e & 1), b
+    return "stuck", None, b
+
+
+def _switch_inputs(q, cut, fam, fam_resid):
+    """(q as a ColoredGraph, its edge mask, the cut's crossing pairs, the
+    residual family as masks) for a cut of the family."""
+    if isinstance(q, Graph):
+        q = ColoredGraph(q, [1 if q.degree(v) else 0 for v in range(q.n)])
+    fam.index_of(cut)                   # refuses a cut outside the family
+    return (q, q.graph.edge_mask(), cut.ext_mask(),
+            [sum(1 << i for i in a) for a in fam_resid.family])
 
 
 def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0,
@@ -309,8 +299,7 @@ def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0,
     fam: the CutFamily; m: the step-(a) threshold.  Removals and additions
     are drawn uniformly from the sorted choice sets via the seeded stream.
     """
-    if isinstance(q, Graph):
-        q = ColoredGraph(q, [1 if q.degree(v) else 0 for v in range(q.n)])
+    q, q_mask, ext_cut, resid_masks = _switch_inputs(q, cut, fam, fam_resid)
     n = g0.n
     if p is None:
         p = g0.edge_count() / (n * (n - 1) / 2)
@@ -318,23 +307,18 @@ def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0,
     if gamma is None:
         gamma = constants.alpha / (24 * r)
     gamma_n2p = gamma * n * n * p
-    q_mask = q.graph.edge_mask()
     g_mask = g0.edge_mask()
     if q_mask & ~g_mask:
         raise ValueError("structure not contained in the start graph")
-    cut_idx = fam.index_of(cut)
-    resid_masks = []
-    for a in fam_resid.family:
-        resid_masks.append(sum(1 << i for i in a))
     rng = random.Random(seed)
     params = {"m": m, "L": L, "gamma": gamma, "seed": seed, "p": p,
               "alpha": constants.alpha}
     trace = SwitchTrace(n, g_mask, params)
     f_mask = 0
     for i in range(L):
-        typ, choice = _switch_branch(fam, q, q_mask, cut_idx, g_mask,
-                                     f_mask, resid_masks, m, gamma_n2p,
-                                     constants.alpha)
+        typ, choice, _ = _switch_branch(fam, q, q_mask, ext_cut, g_mask,
+                                        f_mask, resid_masks, m, gamma_n2p,
+                                        constants.alpha)
         if typ == "e":
             trace.terminal = {"reason": "e", "steps": i}
             break
@@ -370,8 +354,7 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, gamma=None,
     branch and its edge belongs to the recomputed choice set.
     Returns {"ok": bool, "violations": [...]}.
     """
-    if isinstance(q, Graph):
-        q = ColoredGraph(q, [1 if q.degree(v) else 0 for v in range(q.n)])
+    q, q_mask, ext_cut, resid_masks = _switch_inputs(q, cut, fam, fam_resid)
     n = trace.n
     r = fam.r
     if p is None:
@@ -379,9 +362,6 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, gamma=None,
     if gamma is None:
         gamma = trace.params.get("gamma", constants.alpha / (24 * r))
     gamma_n2p = gamma * n * n * p
-    q_mask = q.graph.edge_mask()
-    cut_idx = fam.index_of(cut)
-    resid_masks = [sum(1 << i for i in a) for a in fam_resid.family]
     violations = []
     g0 = trace.g0_mask
     e0 = g0.bit_count()
@@ -393,9 +373,9 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, gamma=None,
     for idx, step in enumerate(trace.steps):
         g_mask = trace.g_masks[idx]
         f_mask = trace.f_masks[idx]
-        typ, choice = _switch_branch(fam, q, q_mask, cut_idx, g_mask,
-                                     f_mask, resid_masks, m, gamma_n2p,
-                                     constants.alpha)
+        typ, choice, b = _switch_branch(fam, q, q_mask, ext_cut, g_mask,
+                                        f_mask, resid_masks, m, gamma_n2p,
+                                        constants.alpha)
         if typ != step["type"]:
             violations.append((idx, "branch mismatch: recomputed %s, "
                                "recorded %s" % (typ, step["type"])))
@@ -414,10 +394,7 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, gamma=None,
         if not ok:
             violations.append((idx, "state transition inconsistent"))
             break
-        union = trace.g_masks[idx] | trace.f_masks[idx]
-        b = fam.b_value(union)
-        mine = (union & fam.ext_masks[cut_idx]).bit_count()
-        cur_def = b - mine
+        cur_def = b - ((g_mask | f_mask) & ext_cut).bit_count()
         if prev_def is not None:
             if cur_def > prev_def:
                 violations.append((idx, "deficit increased"))

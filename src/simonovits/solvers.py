@@ -12,10 +12,9 @@ run, for the exact ex and a certificate.
 """
 
 import functools
-import itertools
 import random
 
-from .graph import Graph, PartTuple, ext_int
+from .graph import Graph, PartTuple, ext_int, assignment_chunks
 from .copies import enumerate_copies
 from .patterns import is_edge_critical, dense_min_degree_bound
 
@@ -146,23 +145,23 @@ def canonical_cut(f, r):
     """Deterministic maximum r-cut: maximise crossing edges, then internal
     edges of the first part, then take the lexicographically least
     part-assignment vector."""
+    import numpy as np
     n = f.n
     if r ** n > EXACT_CUT_GUARD:
         raise TooLargeError("canonical cut enumeration too large")
-    edges = f.edges()
-    best = None  # (-value, -int_v1, assignment)
-    for assign in itertools.product(range(r), repeat=n):
-        val = 0
-        int_v1 = 0
-        for (u, v) in edges:
-            if assign[u] != assign[v]:
-                val += 1
-            elif assign[u] == 0:
-                int_v1 += 1
-        key = (-val, -int_v1, assign)
-        if best is None or key < best:
-            best = key
-    return PartTuple.from_assignment(list(best[2]), r)
+    us, vs = np.array(f.edges(), dtype=np.intp).reshape(-1, 2).T
+    best_key, best = -1, None
+    # assignments come in lexicographic order, so the first row with the
+    # best key is the least one
+    for digits in assignment_chunks(n, r):
+        du, dv = digits[:, us], digits[:, vs]
+        val = np.count_nonzero(du != dv, axis=1)
+        int_v1 = np.count_nonzero((du == 0) & (dv == 0), axis=1)
+        key = val * (len(us) + 1) + int_v1
+        i = int(key.argmax())
+        if key[i] > best_key:
+            best_key, best = key[i], digits[i]
+    return PartTuple.from_assignment(best.tolist(), r)
 
 
 # -- minimum transversals of the copy hypergraph -------------------------

@@ -257,7 +257,7 @@ def test_switching_validator(capsys):
             for (u, v) in q.graph.edges():
                 g = g.with_edge(u, v)
             gm = g.edge_mask()
-            vals = [(gm & e).bit_count() for e in fam.ext_masks]
+            vals = fam.values(gm).tolist()
             order = sorted(range(len(fam)), key=lambda i: vals[i])
             cut = fam.cut(order[(t * 7) % (len(order) // 2 + 1)])
             _, d0 = deficit(cut, g, fam)

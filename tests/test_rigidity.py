@@ -86,11 +86,11 @@ def test_cut_family_matches_product_loop(n, r, delta, coloured):
             CutFamily(n, r, delta, q=q)
         return
     fam = CutFamily(n, r, delta, q=q)
-    assert fam.assignments == ref_assign
-    assert fam.ext_masks == ref_ext
-    assert all(type(a) is tuple and all(type(x) is int for x in a)
-               for a in fam.assignments)
-    assert all(type(e) is int for e in fam.ext_masks)
+    assert list(map(tuple, fam.assignments.tolist())) == ref_assign
+    assert fam.assignments.dtype.kind == "u"
+    ext = [fam.crossed_by_all([i]) for i in range(len(fam))]
+    assert ext == ref_ext
+    assert all(type(e) is int for e in ext)
     rng = random.Random(n * 1000 + r * 100 + int(delta * 10) + coloured)
     for _ in range(30):
         gm = rng.getrandbits(n * (n - 1) // 2)
@@ -102,14 +102,20 @@ def test_cut_family_matches_product_loop(n, r, delta, coloured):
         assert type(got_b) is int and all(type(i) is int for i in got_ids)
         assert (got_b, got_ids) == (b, [i for i, v in enumerate(vals)
                                         if v == b])
+        common = gm
+        for i in got_ids:
+            common &= ref_ext[i]
+        assert gm & fam.crossed_by_all(got_ids) == common
 
 
 def test_cut_family_digits_wider_than_a_byte():
     # a delta this wide keeps every assignment, empty parts included
     r = 257
     fam = CutFamily(2, r, r)
-    assert fam.assignments == list(itertools.product(range(r), repeat=2))
-    assert fam.ext_masks == [int(a != b) for a, b in fam.assignments]
+    ref = list(itertools.product(range(r), repeat=2))
+    assert list(map(tuple, fam.assignments.tolist())) == ref
+    assert [fam.crossed_by_all([i]) for i in range(len(fam))] == \
+        [int(a != b) for a, b in ref]
 
 
 def test_cut_roundtrip_and_b_value():
@@ -119,6 +125,18 @@ def test_cut_roundtrip_and_b_value():
     assert b == 6
     idx = fam.index_of(fam.cut(3))
     assert idx == 3
+
+
+def test_index_of_refuses_cuts_outside_the_family():
+    fam = CutFamily(6, 2, 0.0)
+    with pytest.raises(ValueError):
+        fam.index_of(PartTuple(6, [{0}, {1, 2, 3, 4, 5}]))     # unbalanced
+    with pytest.raises(ValueError):
+        fam.index_of(PartTuple(6, [{0, 1, 2}, {3, 4}]))       # leaves 5 out
+    with pytest.raises(ValueError):
+        fam.index_of(PartTuple(5, [{0, 1}, {2, 3, 4}]))       # other n
+    cut = PartTuple(6, [{0, 2, 4}, {1, 3, 5}])
+    assert fam.cut(fam.index_of(cut)) == cut
 
 
 def test_deficit():
@@ -196,7 +214,7 @@ def test_switching_runs_and_validates():
     for t in range(20):
         p = [0.3, 0.5, 0.8][t % 3]
         g = sample_gnp(n, p, RngStream(77, t)).with_edge(0, 1)
-        vals = [(g.edge_mask() & e).bit_count() for e in fam.ext_masks]
+        vals = fam.values(g.edge_mask()).tolist()
         order = sorted(range(len(fam)), key=lambda i: vals[i])
         cut = fam.cut(order[len(order) // 4])
         tr = run_switching(g, q, cut, fam_resid, fam, m=2, L=200, seed=t,
@@ -226,7 +244,7 @@ def _one_trace(seed=4, p=0.5, n=12):
     fam = CutFamily(n, 2, 0.4, q=q)
     fam_resid, _ = residual_family(K3, q, n, "low")
     g = sample_gnp(n, p, RngStream(88, seed)).with_edge(0, 1)
-    vals = [(g.edge_mask() & e).bit_count() for e in fam.ext_masks]
+    vals = fam.values(g.edge_mask()).tolist()
     order = sorted(range(len(fam)), key=lambda i: vals[i])
     cut = fam.cut(order[len(order) // 4])
     tr = run_switching(g, q, cut, fam_resid, fam, m=2, L=200, seed=seed, p=p)
@@ -277,3 +295,34 @@ def test_validator_catches_budget_overrun():
                          m=2, p=p)
     if res["ab_steps"] > 0:
         assert not res["ok"]
+
+
+def test_switch_branch_scores_each_state_once(monkeypatch):
+    tr, q, cut, fam, fam_resid, p = _find_stepped_trace()
+    values = CutFamily.values
+    calls = []
+
+    def counted(self, g_mask):
+        calls.append(g_mask)
+        return values(self, g_mask)
+
+    monkeypatch.setattr(CutFamily, "values", counted)
+    n = tr.n
+    resid_masks = [sum(1 << i for i in a) for a in fam_resid.family]
+    gamma_n2p = tr.params["gamma"] * n * n * p
+    types = []
+    for g_mask, f_mask in zip(tr.g_masks, tr.f_masks):
+        calls.clear()
+        typ, _, b = rigidity._switch_branch(
+            fam, q, q.graph.edge_mask(), cut.ext_mask(), g_mask, f_mask,
+            resid_masks, 2, gamma_n2p, tr.params["alpha"])
+        assert calls == [g_mask | f_mask]
+        assert b == values(fam, g_mask | f_mask).max()
+        types.append(typ)
+    # states past branches a and b ran the rigidity step on the same scores
+    assert set(types) - {"a", "b"}, types
+    calls.clear()
+    res = validate_trace(tr, q, cut, d=60, fam=fam, fam_resid=fam_resid,
+                         m=2, p=p)
+    assert res["ok"]
+    assert len(calls) == len(tr.steps)

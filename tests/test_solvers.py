@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simonovits import solvers
+from simonovits.randgraphs import RngStream, sample_gnp
 from simonovits.graph import (Graph, complete_graph, cycle_graph,
                               named_graph, petersen_graph, disjoint_union,
                               parse_inline, PartTuple, all_pairs)
@@ -47,6 +48,55 @@ def test_canonical_cut_deterministic():
     a = canonical_cut(petersen_graph(), 2)
     b = canonical_cut(petersen_graph(), 2)
     assert a == b
+
+
+def _reference_canonical_cut(f, r):
+    """The itertools.product loop that computed canonical_cut before it
+    moved to numpy chunks."""
+    edges = f.edges()
+    best = None  # (-value, -int_v1, assignment)
+    for assign in itertools.product(range(r), repeat=f.n):
+        val = 0
+        int_v1 = 0
+        for (u, v) in edges:
+            if assign[u] != assign[v]:
+                val += 1
+            elif assign[u] == 0:
+                int_v1 += 1
+        key = (-val, -int_v1, assign)
+        if best is None or key < best:
+            best = key
+    return PartTuple.from_assignment(list(best[2]), r)
+
+
+# n = 12 with r = 2 fills one chunk of 2^12 assignments, n = 8 and 9 with
+# r = 3 span two and five, and the n = 14 pattern-free hosts below four;
+# every n = 1 host and every edgeless host is all ties
+CANONICAL_CASES = ([(n, 2) for n in range(1, 13)]
+                   + [(n, 3) for n in range(1, 10)])
+
+
+@pytest.mark.parametrize("n,r", CANONICAL_CASES)
+def test_canonical_cut_matches_product_loop(n, r):
+    hosts = [Graph(n, [])] + [sample_gnp(n, p, RngStream(n * 10 + r, t))
+                              for t, p in enumerate((0.15, 0.4, 0.6, 0.9))]
+    for g in hosts:
+        assert canonical_cut(g, r) == _reference_canonical_cut(g, r), \
+            g.edges()
+
+
+# the hosts of the turan_gnp benchmark: largest pattern-free subgraphs of
+# G(n, p), cut into chi(pattern) - 1 parts
+@pytest.mark.parametrize("pattern,n,p", [("triangle", 14, 0.6),
+                                         ("triangle", 12, 0.85),
+                                         ("c5", 10, 0.45)])
+def test_canonical_cut_matches_product_loop_on_pattern_free_hosts(
+        pattern, n, p):
+    h = named_graph(pattern)
+    r = h.chromatic_number() - 1
+    for t in range(2):
+        _, f = max_H_free(sample_gnp(n, p, RngStream(n, t)), h)
+        assert canonical_cut(f, r) == _reference_canonical_cut(f, r)
 
 
 def test_mantel():
