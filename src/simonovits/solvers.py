@@ -8,7 +8,9 @@ dense-regime peeling argument.
 The decision starts from the best r-cut, a lower bound on ex(g, h): one
 transversal search at that size either lists every optimum or finds a
 smaller transversal, and only in the second case does the integer program
-run, for the exact ex and a certificate.
+run, for the exact ex and a certificate.  The search keeps the unhit copies
+as bitsets of copy indices grouped by their number of undecided edges, so a
+decision on one edge updates every copy through it at once.
 """
 
 import functools
@@ -185,70 +187,115 @@ def _transversal_search(masks, tau):
     """Every deletion set of exactly tau elements hitting every mask, if
     tau is the minimum transversal size; [] otherwise.
 
-    Branch and bound that propagates forced deletions (masks with a single
-    undecided element) and prunes with a greedy packing of masks that are
-    disjoint in their undecided elements.  Every minimal transversal of at
-    most tau elements is a leaf, so a tau above the minimum ends at the
-    first smaller leaf, and one below it finds none.  Raises
-    EnumerationCapError past SOL_CAP solutions or NODE_CAP nodes.
+    Branch and bound over the elements (edges).  Each element is undecided,
+    kept or deleted; a mask is hit once one of its elements is deleted.  The
+    state of a node is a list of copy-index bitsets: cls[s] holds the unhit
+    masks with exactly s undecided elements, and inc[e] (built once) holds
+    the masks through element e.  Deleting e clears inc[e] from every
+    class; keeping e moves the masks of inc[e] down one class.  A mask in
+    cls[0] can no longer be hit, so the node dies; the undecided elements
+    of the masks in cls[1] are forced deletions.
+
+    The bound is a greedy packing of masks whose undecided elements are
+    disjoint, taken fewest undecided elements first, then by index; each
+    packed mask blocks the masks through its undecided elements.  The
+    packing stops as soon as it proves that every leaf below has more than
+    tau elements.  The search branches on the first mask it packs, the
+    lowest-index mask with the fewest undecided elements: one child deletes
+    each of its undecided elements in turn, keeping those before it.
+
+    Every minimal transversal of at most tau elements is a leaf, and leaves
+    come in a fixed depth-first order, so a tau above the minimum ends at
+    the first smaller leaf, and one below it finds none.  A node is one
+    set of kept and deleted elements that the search enters: the root and
+    each child, except the children after a kept element completes a mask,
+    which are skipped.  Raises EnumerationCapError past SOL_CAP solutions or
+    NODE_CAP nodes.
     """
+    width = 0
+    for t in masks:
+        width |= t
+    inc = [0] * width.bit_length()
+    for i, t in enumerate(masks):
+        while t:
+            b = t & -t
+            t ^= b
+            inc[b.bit_length() - 1] |= 1 << i
+    # cls[1] exists even when every mask is empty
+    cls = [0] * (max((t.bit_count() for t in masks), default=0) + 2)
+    for i, t in enumerate(masks):
+        cls[t.bit_count()] |= 1 << i
     sols = []
     nodes = [0]
 
-    def rec(act, kept, dele, d):
+    def masks_through(elems):
+        out = 0
+        while elems:
+            b = elems & -elems
+            elems ^= b
+            out |= inc[b.bit_length() - 1]
+        return out
+
+    def rec(cls, kept, dele, d):
+        # cls belongs to this call: the caller built it for this child
         nodes[0] += 1
         if nodes[0] > NODE_CAP:
             raise EnumerationCapError("transversal search node cap")
-        while True:
-            nact = []
-            forced = 0
-            for t in act:
-                if t & dele:
-                    continue
-                und = t & ~kept
-                nu = und.bit_count()
-                if nu == 0:
-                    return
-                if nu == 1:
-                    forced |= und
-                else:
-                    nact.append(t)
-            if forced:
-                d += forced.bit_count()
-                if d > tau:
-                    return
-                dele |= forced
-                act = nact
-                continue
-            act = nact
-            break
-        used = 0
-        lb = 0
-        for t in act:
-            und = t & ~kept
-            if und & used == 0:
-                used |= und
-                lb += 1
-        if d + lb > tau:
+        if cls[0]:
             return
-        if not act:
+        one = cls[1]
+        if one:
+            forced = 0
+            while one:
+                b = one & -one
+                one ^= b
+                forced |= masks[b.bit_length() - 1]
+            forced &= ~kept
+            d += forced.bit_count()
+            if d > tau:
+                return
+            dele |= forced
+            unhit = ~masks_through(forced)
+            cls = [c & unhit for c in cls]
+        lb = d
+        pick = 0
+        blocked = 0
+        for c in cls[2:]:
+            c &= ~blocked
+            while c:
+                und = masks[(c & -c).bit_length() - 1] & ~kept
+                if not pick:
+                    pick = und
+                lb += 1
+                if lb > tau:
+                    return
+                blk = masks_through(und)
+                blocked |= blk
+                c &= ~blk
+        if not pick:
             if d < tau:
                 raise _ShorterTransversal
             sols.append(dele)
             if len(sols) > SOL_CAP:
                 raise EnumerationCapError("transversal solution cap")
             return
-        pick = min(act, key=lambda t: (t & ~kept).bit_count())
-        x = pick & ~kept
-        kd = kept
-        while x:
-            b = x & -x
-            x ^= b
-            rec(act, kd, dele | b, d + 1)
-            kd |= b
+        while pick:
+            b = pick & -pick
+            pick ^= b
+            on_b = inc[b.bit_length() - 1]
+            unhit = ~on_b
+            rec([c & unhit for c in cls], kept, dele | b, d + 1)
+            kept |= b
+            for s in range(1, len(cls)):
+                down = cls[s] & on_b
+                if down:
+                    cls[s] ^= down
+                    cls[s - 1] |= down
+            if cls[0]:
+                return  # every later child keeps a whole mask
 
     try:
-        rec(list(masks), 0, 0, 0)
+        rec(cls, 0, 0, 0)
     except _ShorterTransversal:
         return []
     return sols

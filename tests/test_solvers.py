@@ -12,7 +12,8 @@ from simonovits.solvers import (max_r_cut, is_unfriendly, canonical_cut,
                                 max_H_free, enumerate_optimal_H_free,
                                 free_edge_witness, is_simonovits,
                                 dense_peel, augment_rpartite, TooLargeError,
-                                EnumerationCapError)
+                                EnumerationCapError, NODE_CAP, SOL_CAP,
+                                _ShorterTransversal)
 
 K3 = named_graph("triangle")
 K4 = named_graph("k4")
@@ -132,6 +133,111 @@ def test_enumerate_optima_counts():
     assert enumerate_optimal_H_free(g, K3, 3) == []
 
 
+def _reference_transversal_search(masks, tau):
+    """Every deletion set of exactly tau elements hitting every mask, if
+    tau is the minimum transversal size; [] otherwise.
+
+    Branch and bound that propagates forced deletions (masks with a single
+    undecided element) and prunes with a greedy packing of masks that are
+    disjoint in their undecided elements.  Every minimal transversal of at
+    most tau elements is a leaf, so a tau above the minimum ends at the
+    first smaller leaf, and one below it finds none.  Raises
+    EnumerationCapError past SOL_CAP solutions or NODE_CAP nodes.
+    """
+    sols = []
+    nodes = [0]
+
+    def rec(act, kept, dele, d):
+        nodes[0] += 1
+        if nodes[0] > NODE_CAP:
+            raise EnumerationCapError("transversal search node cap")
+        while True:
+            nact = []
+            forced = 0
+            for t in act:
+                if t & dele:
+                    continue
+                und = t & ~kept
+                nu = und.bit_count()
+                if nu == 0:
+                    return
+                if nu == 1:
+                    forced |= und
+                else:
+                    nact.append(t)
+            if forced:
+                d += forced.bit_count()
+                if d > tau:
+                    return
+                dele |= forced
+                act = nact
+                continue
+            act = nact
+            break
+        used = 0
+        lb = 0
+        for t in act:
+            und = t & ~kept
+            if und & used == 0:
+                used |= und
+                lb += 1
+        if d + lb > tau:
+            return
+        if not act:
+            if d < tau:
+                raise _ShorterTransversal
+            sols.append(dele)
+            if len(sols) > SOL_CAP:
+                raise EnumerationCapError("transversal solution cap")
+            return
+        pick = min(act, key=lambda t: (t & ~kept).bit_count())
+        x = pick & ~kept
+        kd = kept
+        while x:
+            b = x & -x
+            x ^= b
+            rec(act, kd, dele | b, d + 1)
+            kd |= b
+
+    try:
+        rec(list(masks), 0, 0, 0)
+    except _ShorterTransversal:
+        return []
+    return sols
+
+
+SEARCH_PATTERNS = {"triangle": K3, "c5": named_graph("c5"), "k4": K4,
+                   "c4": cycle_graph(4),
+                   "bowtie": parse_inline("5:0-1,0-2,1-2,2-3,2-4,3-4")}
+
+
+# the list-based search that the copy-bitset search replaced; both must
+# give the same leaves in the same order, and [] above and below the minimum
+@pytest.mark.parametrize("pattern", sorted(SEARCH_PATTERNS))
+def test_transversal_search_matches_reference(pattern):
+    h = SEARCH_PATTERNS[pattern]
+    for n in range(4, 10):
+        for t, p in enumerate((0.35, 0.6, 0.85)):
+            g = sample_gnp(n, p, RngStream(n * 10 + t, 0))
+            _, masks = solvers._copy_masks(g, h)
+            for tau in range(min(g.edge_count(), 14) + 1):
+                assert (solvers._transversal_search(masks, tau)
+                        == _reference_transversal_search(masks, tau)), \
+                    (g.edges(), tau)
+
+
+def test_transversal_search_unequal_and_duplicate_masks():
+    # sizes 1 to 4, two masks repeated, and element 9 in no mask
+    masks = (0b1011, 0b0110, 0b0110, 0b10000, 0b1100100, 0b1011,
+             0b110000000, 0b100101000, 0b11100, 0b10001000011)
+    searched = 0
+    for tau in range(12):
+        sols = solvers._transversal_search(masks, tau)
+        assert sols == _reference_transversal_search(masks, tau)
+        searched += bool(sols)
+    assert searched == 1
+
+
 def test_cut_optimal_host_needs_no_milp(monkeypatch):
     def refuse(masks, n_vars):
         raise AssertionError("MILP called on a host whose ex is its best cut")
@@ -163,6 +269,13 @@ def test_optimum_above_cut_runs_one_milp(monkeypatch, capped):
     assert v.reason.startswith("every optimum exceeds")
     assert v.certificate.edge_count() == 7
     assert len(calls) == 1
+
+
+def test_packing_bound_prunes_k8_c5_within_5000_nodes(monkeypatch):
+    # the list-based search needed 13,544 nodes on this host
+    monkeypatch.setattr(solvers, "NODE_CAP", 5000)
+    v = is_simonovits(complete_graph(8), named_graph("c5"))
+    assert (v.decision, v.ex_size, v.optima_count) == ("yes", 16, 35)
 
 
 def test_enumeration_cap_gives_indeterminate(monkeypatch):
@@ -235,6 +348,14 @@ def test_simonovits_yes_on_complete_graphs():
         v = is_simonovits(complete_graph(n), K3)
         assert v.decision == "yes"
         assert v.optima_count is not None
+
+
+@pytest.mark.parametrize("n,ex", [(9, 20), (10, 25)])
+def test_simonovits_c5_on_complete_graphs(n, ex):
+    # ex(K_n, C5) = t_2(n), and the optima are the 126 balanced bipartitions
+    v = is_simonovits(complete_graph(n), named_graph("c5"))
+    assert (v.decision, v.ex_size, v.best_rpartite, v.optima_count) == (
+        "yes", ex, ex, 126)
 
 
 def test_simonovits_no_cases():
