@@ -165,13 +165,20 @@ def cmd_scan_threshold(args):
     return EXIT_OK
 
 
+def _stable_kth(vals, k):
+    """np.argsort(vals, kind="stable")[k] without sorting: the k-th
+    smallest value, then the right one of its ties in index order."""
+    import numpy as np
+    v = np.partition(vals, k)[k]
+    return int(np.flatnonzero(vals == v)[k - np.count_nonzero(vals < v)])
+
+
 def simulate_switching(pattern, n, p, runs, rounds, m, seed, delta=0.4):
     """Seeded switching runs from a single-edge structure, each validated.
 
     Start cuts are drawn from the compatible balanced family with a bias
     towards positive deficit so the removal branches are exercised.
     """
-    import numpy as np
     h = graph_from_spec(pattern)
     r = h.chromatic_number() - 1
     q_graph = Graph(n, [(0, 1)])
@@ -182,9 +189,9 @@ def simulate_switching(pattern, n, p, runs, rounds, m, seed, delta=0.4):
     results = []
     for t in range(runs):
         g = sample_gnp(n, p, RngStream(seed, t)).with_edge(0, 1)
-        order = np.argsort(fam.values(g.edge_mask()), kind="stable")
-        pick = int(order[(t * len(order) // max(1, runs)) % len(order)])
-        cut = fam.cut(pick)
+        vals = fam.values(g.edge_mask())
+        cut = fam.cut(_stable_kth(vals,
+                                  (t * len(vals) // max(1, runs)) % len(vals)))
         trace = run_switching(g, q, cut, fam_resid, fam, m=m, L=rounds,
                               seed=seed * 1000003 + t, p=p)
         check = validate_trace(trace, q, cut, d=n * n, fam=fam,

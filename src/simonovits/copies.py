@@ -240,6 +240,10 @@ def critical_edge_and_anchor(h):
 def residual_family(h, q, n, variant="low", embed_cap=2_000_000):
     """Residuals A - E(Q) of copies A of h in K_n meeting the structure q.
 
+    Variants "all" and "low" list only the copies through q: each pattern
+    edge is anchored, in both orientations, on each q-edge, and the copies
+    found more than once are kept once.
+
     variant "all":  copies sharing at least one edge with q.
     variant "low":  copies sharing exactly one edge with q whose vertex set
                     spans exactly one q-edge; each residual has a unique
@@ -267,7 +271,15 @@ def residual_family(h, q, n, variant="low", embed_cap=2_000_000):
             completions.setdefault(resid, []).append(copy_pairs)
 
     if variant in ("all", "low"):
-        for copy in enumerate_copies(h, host):
+        h_edges = h.edges()
+        found = set()
+        for (a, b) in q_edges:
+            for (x, y) in h_edges:
+                for fixed in ({x: [a], y: [b]}, {x: [b], y: [a]}):
+                    for img in embeddings(h, host, fixed):
+                        found.add(frozenset(tuple(sorted((img[u], img[v])))
+                                            for (u, v) in h_edges))
+        for copy in sorted(found, key=sorted):
             shared = copy & q_edges
             if variant == "all":
                 if shared:

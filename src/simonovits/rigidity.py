@@ -2,12 +2,14 @@
 switching algorithm with its trace validator.
 
 A cut family is every balanced compatible r-part assignment, stored once:
-a digit array with one row per assignment, and a packed matrix of their
+a digit array with one row per assignment, sorted, in which the columns of
+coloured vertices hold their pinned parts, and a packed matrix of their
 crossing masks (64-bit words) so that one numpy popcount scores every cut;
 rigidity depends on the full argmax set, so enumeration is exact with a
 hard guard and never sampled.
 """
 
+import bisect
 import math
 import random
 
@@ -26,13 +28,15 @@ class GuardExceeded(Exception):
 class CutFamily:
     """All delta-balanced complete r-part assignments of [n] compatible
     with an optional coloured structure (vertices coloured k must land in
-    part k-1), in ``itertools.product`` order.
+    part k-1), in ``itertools.product`` order, so the rows are sorted.
 
-    ``assignments`` is a numpy array with one row of part digits per
-    assignment; ``_words`` holds the crossing pairs of each assignment, in
-    ``edge_index`` order, packed into 64-bit words (one row per word, one
-    column per assignment), so that ``values`` scores every cut with one
-    popcount per word.
+    Only the uncoloured vertices are enumerated; each coloured vertex's
+    column holds its pinned digit.  ``assignments`` is a numpy array with
+    one row of part digits per assignment; ``_words`` holds the crossing
+    pairs of each assignment, in ``edge_index`` order, packed into 64-bit
+    words (one row per word, one column per assignment), so that
+    ``values`` scores every cut with one popcount per word.  Both are
+    allocated once, at the size the balance window allows.
     """
 
     def __init__(self, n, r, delta, q=None, guard=FAMILY_GUARD):
@@ -44,43 +48,52 @@ class CutFamily:
         lo = (1 - delta) * n / r
         hi = (1 + delta) * n / r
         colour = q.colour if isinstance(q, ColoredGraph) else ()
+        pinned = {v: c - 1 for v, c in enumerate(colour) if c >= 1}
+        free = [v for v in range(n) if v not in pinned]
+        base = [0] * r              # pinned vertices in each part
+        for k in pinned.values():
+            if k >= r:
+                raise ValueError("empty cut family")
+            base[k] += 1
+        total = _balanced_count(len(free), r, lambda k, s:
+                                lo <= base[k] + s <= hi)
+        if not total:
+            raise ValueError("empty cut family")
         us, vs = np.triu_indices(n, 1)      # pairs in edge_index order
         n_words = max(1, -(-len(us) // 64))
-        kept = []
-        words = []
-        for digits in assignment_chunks(n, r):
+        self.assignments = np.empty((total, n), np.min_scalar_type(r - 1))
+        self._words = np.empty((n_words, total), np.uint64)
+        row = np.array([pinned.get(v, 0) for v in range(n)],
+                       self.assignments.dtype)
+        at = 0
+        for chunk in assignment_chunks(len(free), r):
+            digits = np.tile(row, (len(chunk), 1))
+            digits[:, free] = chunk
             keep = np.ones(len(digits), dtype=bool)
-            for v, c in enumerate(colour):
-                if c >= 1:
-                    keep &= digits[:, v] == c - 1
             for k in range(r):
                 size = np.count_nonzero(digits == k, axis=1)
                 keep &= (lo <= size) & (size <= hi)
             digits = digits[keep]
-            if not len(digits):
-                continue
+            end = at + len(digits)
             cross = np.zeros((len(digits), n_words * 64), dtype=bool)
-            cross[:, :len(us)] = digits[:, us] != digits[:, vs]
-            kept.append(digits)
+            np.not_equal(digits[:, us], digits[:, vs], out=cross[:, :len(us)])
             packed = np.packbits(cross, axis=1, bitorder="little")
-            words.append(np.ascontiguousarray(packed.view("<u8").T))
-        if not kept:
-            raise ValueError("empty cut family")
-        self.assignments = np.concatenate(kept)
-        self._words = np.concatenate(words, axis=1)
+            self.assignments[at:end] = digits
+            self._words[:, at:end] = packed.view("<u8").T
+            at = end
 
     def __len__(self):
         return len(self.assignments)
 
     def index_of(self, cut):
-        """Index of a complete cut's assignment; ValueError if the family
-        does not hold it."""
-        import numpy as np
+        """Index of a complete cut's assignment, by binary search over the
+        sorted rows; ValueError if the family does not hold it."""
         assign = cut.assignment()
         if len(assign) == self.n:
-            hits = np.flatnonzero((self.assignments == assign).all(axis=1))
-            if len(hits):
-                return int(hits[0])
+            i = bisect.bisect_left(self.assignments, assign,
+                                   key=lambda row: row.tolist())
+            if i < len(self) and self.assignments[i].tolist() == assign:
+                return i
         raise ValueError("cut not in family")
 
     def cut(self, idx):
@@ -109,6 +122,16 @@ class CutFamily:
         import numpy as np
         words = np.bitwise_and.reduce(self._words[:, ids], axis=1)
         return sum(int(w) << (64 * i) for i, w in enumerate(words))
+
+
+def _balanced_count(f, r, allowed):
+    """Number of assignments of f labelled vertices to parts 0..r-1 that
+    put s of them in part k only when allowed(k, s)."""
+    ways = [1] + [0] * f            # ways[t]: t vertices in the parts so far
+    for k in range(r):
+        ways = [sum(math.comb(t, s) * ways[t - s] for s in range(t + 1)
+                    if allowed(k, s)) for t in range(f + 1)]
+    return ways[f]
 
 
 def deficit(cut, g, fam):

@@ -88,6 +88,13 @@ def test_simulate_switching_guard():
     assert run(["simulate-switching", "--n", "40", "--runs", "1"]) == 5
 
 
+def test_simulate_switching_colour_above_r_exits_2(capsys):
+    # C4 is bipartite, so r = 1 and vertex 1's colour 2 names no part
+    assert run(["simulate-switching", "--pattern", "4:0-1,1-2,2-3,3-0",
+                "--n", "8"]) == 2
+    assert "empty cut family" in capsys.readouterr().err
+
+
 def test_verify_lemma_dispatch(tmp_path):
     for lemma in ("poisson", "janson", "corollaries", "uppertail",
                   "balanced", "sum"):

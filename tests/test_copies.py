@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from simonovits.graph import (Graph, ColoredGraph, complete_graph,
                               cycle_graph, petersen_graph, named_graph,
-                              edge_index, all_pairs)
+                              graph_from_spec, edge_index, all_pairs)
 from simonovits.copies import (embeddings, count_embeddings,
                                automorphism_count, enumerate_copies,
                                count_copies, are_isomorphic,
@@ -93,6 +93,58 @@ def test_residual_family_all_contains_low():
     # "low" residuals keep the shared edge out; every one appears among
     # "all" residuals as well
     assert low <= set(fam_all.family)
+
+
+def _reference_residual_family(h, q, n, variant):
+    """The whole-K_n filter residual_family used before it anchored copies
+    on q: every copy of h in K_n, kept when it meets q as the variant asks.
+    Returns (sorted residual family, {residual: set of completions})."""
+    qg = q.graph if isinstance(q, ColoredGraph) else q
+    q_edges = frozenset(tuple(sorted(e)) for e in qg.edges())
+    q_idx = frozenset(edge_index(n, u, v) for (u, v) in q_edges)
+    completions = {}
+    for copy in enumerate_copies(h, complete_graph(n)):
+        shared = copy & q_edges
+        if variant == "low":
+            vs = {v for e in copy for v in e}
+            spanned = sum(1 for (u, v) in q_edges if u in vs and v in vs)
+            if len(shared) != 1 or spanned != 1:
+                continue
+        elif not shared:
+            continue
+        resid = frozenset(edge_index(n, u, v) for (u, v) in copy) - q_idx
+        if resid:
+            completions.setdefault(resid, set()).add(copy)
+    return CopyHypergraph(n, completions).family, completions
+
+
+RESIDUAL_PATTERNS = {"triangle": K3, "c5": cycle_graph(5),
+                     "k4": complete_graph(4),
+                     "bowtie": graph_from_spec("5:0-1,0-2,1-2,2-3,2-4,3-4"),
+                     # no automorphism turns the pendant edge round, so its
+                     # copies through q need both orientations anchored
+                     "paw": graph_from_spec("4:0-1,0-2,1-2,2-3")}
+RESIDUAL_STRUCTURES = {
+    "edge": lambda n: Graph(n, [(1, 3)]),
+    "path": lambda n: Graph(n, [(0, 2), (2, 4)]),
+    "triangle": lambda n: Graph(n, [(0, 1), (1, 4), (0, 4)]),
+    "matching": lambda n: Graph(n, [(0, 1), (2, 3)]),
+    "coloured": lambda n: ColoredGraph(Graph(n, [(0, 1), (1, 2)]),
+                                       [1, 2, 1] + [0] * (n - 3)),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(RESIDUAL_PATTERNS))
+@pytest.mark.parametrize("structure", sorted(RESIDUAL_STRUCTURES))
+@pytest.mark.parametrize("n", range(5, 10))
+def test_residual_family_matches_whole_kn_filter(pattern, structure, n):
+    h = RESIDUAL_PATTERNS[pattern]
+    q = RESIDUAL_STRUCTURES[structure](n)
+    for variant in ("all", "low"):
+        fam, comps = residual_family(h, q, n, variant)
+        ref_fam, ref_comps = _reference_residual_family(h, q, n, variant)
+        assert fam.family == ref_fam
+        assert {r: set(c) for r, c in comps.items()} == ref_comps
 
 
 def test_residual_family_high_places_anchor_on_centres():

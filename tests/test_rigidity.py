@@ -65,24 +65,47 @@ def _reference_family(n, r, delta, forced):
     return assignments, ext_masks
 
 
+def _coloured(n, coloured):
+    """(structure, forced parts) for a test case: False for none, True for
+    the pair 0, 1 coloured 1, 2, or "v:c,..." for vertex v coloured c."""
+    if coloured is False:
+        return None, {}
+    if coloured is True:
+        return _q_pair(n), {0: 0, 1: 1}
+    colours = dict(map(int, vc.split(":")) for vc in coloured.split(","))
+    q = ColoredGraph(Graph(n), [colours.get(v, 0) for v in range(n)])
+    return q, {v: c - 1 for v, c in colours.items()}
+
+
 # n = 2, 5, 11 fit C(n, 2) pairs in one 64-bit word, n = 12, 13 need two;
-# odd n at delta 0 and every n = 2 family with r = 4 are empty
+# odd n at delta 0 and every n = 2 family with r = 4 are empty, and so is
+# every family with a colour above r
 FAMILY_CASES = (
     [(n, 2, d, c) for n in (2, 5, 11, 12, 13) for d in (0, 0.4, 0.999)
      for c in (False, True)]
     + [(n, r, d, c) for r in (3, 4) for n in (2, 5) for d in (0, 0.4, 0.999)
        for c in (False, True)]
     + [(11, 3, 0.4, True), (12, 3, 0.4, True), (9, 4, 0.4, True),
-       (8, 4, 0.999, True)])
+       (8, 4, 0.999, True)]
+    # coloured vertices away from the front of the row
+    + [(9, 2, d, c) for d in (0.4, 0.999) for c in ("3:1,7:2", "3:2,7:2")]
+    + [(12, 2, 0.4, "3:1,7:2"), (13, 2, 0.4, "3:2,7:1"),
+       (13, 2, 0, "3:1,7:2")]
+    # three coloured vertices
+    + [(9, 3, 0.4, "2:1,5:2,8:3"), (10, 3, 0.4, "0:3,4:3,6:1"),
+       (8, 3, 0.999, "1:2,3:2,7:2"), (8, 4, 0.4, "1:1,4:2,6:4"),
+       (9, 4, 0.999, "0:4,3:4,8:1"), (7, 4, 0.4, "2:3,3:3,5:3")]
+    # a colour above r, and r = 1
+    + [(6, 2, 0.999, "2:3"), (8, 3, 0.4, "0:1,5:4"), (5, 1, 0.999, False),
+       (5, 1, 0.999, True), (5, 1, 0.999, "4:1")])
 
 
 @pytest.mark.parametrize("n,r,delta,coloured", FAMILY_CASES)
 def test_cut_family_matches_product_loop(n, r, delta, coloured):
-    q = _q_pair(n) if coloured else None
-    ref_assign, ref_ext = _reference_family(
-        n, r, delta, {0: 0, 1: 1} if coloured else {})
+    q, forced = _coloured(n, coloured)
+    ref_assign, ref_ext = _reference_family(n, r, delta, forced)
     if not ref_assign:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty cut family"):
             CutFamily(n, r, delta, q=q)
         return
     fam = CutFamily(n, r, delta, q=q)
@@ -91,7 +114,8 @@ def test_cut_family_matches_product_loop(n, r, delta, coloured):
     ext = [fam.crossed_by_all([i]) for i in range(len(fam))]
     assert ext == ref_ext
     assert all(type(e) is int for e in ext)
-    rng = random.Random(n * 1000 + r * 100 + int(delta * 10) + coloured)
+    rng = random.Random(n * 1000 + r * 100 + int(delta * 10)
+                        + (coloured is True))
     for _ in range(30):
         gm = rng.getrandbits(n * (n - 1) // 2)
         vals = [(gm & e).bit_count() for e in ref_ext]
@@ -137,6 +161,51 @@ def test_index_of_refuses_cuts_outside_the_family():
         fam.index_of(PartTuple(5, [{0, 1}, {2, 3, 4}]))       # other n
     cut = PartTuple(6, [{0, 2, 4}, {1, 3, 5}])
     assert fam.cut(fam.index_of(cut)) == cut
+
+
+@pytest.mark.parametrize("n,r,delta,coloured", [
+    (10, 2, 0.4, True), (8, 3, 0.4, False), (7, 3, 0.999, "2:3,4:1"),
+    (3, 257, 257, "1:200,2:257")])
+def test_index_of_round_trips_every_row(n, r, delta, coloured):
+    fam = CutFamily(n, r, delta, q=_coloured(n, coloured)[0])
+    assert [fam.index_of(fam.cut(i)) for i in range(len(fam))] == \
+        list(range(len(fam)))
+
+
+@pytest.mark.parametrize("r", [2, 3, 257])
+def test_index_of_refuses_foreign_cuts_with_value_error(r):
+    # digits are one byte up to r = 256 and two bytes above it, so a part
+    # 256 (65536) above a row's digit would wrap onto that row if cast
+    if r == 257:
+        fam = CutFamily(3, r, r, q=ColoredGraph(Graph(3), [0, 200, 0]))
+    else:
+        fam = CutFamily(4, r, 0.999)
+    n = fam.n
+    row = fam.assignments[len(fam) // 2].tolist()
+    wide = max(row) + (256 if r < 256 else 65536)
+    for assign in (row[:-1] + [-1],         # leaves the last vertex out
+                   row[:-1] + [wide],       # more parts than r
+                   row[:-1] + [r]):
+        parts = [{v for v in range(n) if assign[v] == k}
+                 for k in range(max(assign) + 1)]
+        with pytest.raises(ValueError):
+            fam.index_of(PartTuple(n, parts))
+    with pytest.raises(ValueError):
+        fam.index_of(PartTuple(n + 1, [set(range(n + 1))]))
+
+
+def test_stable_kth_matches_stable_argsort():
+    import numpy as np
+    from simonovits.cli import _stable_kth
+    fam = CutFamily(10, 2, 0.4, q=_q_pair(10))
+    rng = random.Random(5)
+    for t in range(30):
+        # sparse and dense masks: few distinct values, many ties
+        gm = rng.getrandbits(45) & rng.getrandbits(45) if t % 2 else \
+            rng.getrandbits(45)
+        vals = fam.values(gm)
+        order = np.argsort(vals, kind="stable").tolist()
+        assert [_stable_kth(vals, k) for k in range(len(vals))] == order
 
 
 def test_deficit():
