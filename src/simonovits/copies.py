@@ -13,6 +13,9 @@ from fractions import Fraction
 
 from .graph import Graph, edge_index, bitset_members
 
+EMBED_CAP = 2_000_000       # embeddings the "high" residual family may visit
+PROFILE_LIMIT = 200000      # subset enumerations for a Janson degree profile
+
 
 # -- embeddings and copies -----------------------------------------------
 
@@ -98,13 +101,15 @@ def automorphism_count(h):
 
 def enumerate_copies(h, host):
     """All subgraphs of host isomorphic to h, each as a frozenset of
-    (u, v) edge pairs with u < v."""
+    (u, v) edge pairs with u < v, in the iteration order of the deduping
+    set: fixed for a CPython build, and followed by the optimum listing's
+    branching and the first non-r-partite certificate."""
     edges = h.edges()
     seen = set()
     for img in embeddings(h, host):
         es = frozenset(tuple(sorted((img[u], img[v]))) for (u, v) in edges)
         seen.add(es)
-    return sorted(seen)
+    return list(seen)
 
 
 def count_copies(h, host):
@@ -198,19 +203,15 @@ def boundary(family):
     return sorted(out, key=lambda a: tuple(sorted(a)))
 
 
-def matching_number(family, cap_nodes=None):
+def matching_number(family):
     """Largest number of pairwise disjoint members (exact branch and bound)."""
     fam = sorted(set(frozenset(a) for a in family), key=len)
     elems = sorted(set().union(*fam)) if fam else []
     pos = {e: i for i, e in enumerate(elems)}
     masks = [sum(1 << pos[e] for e in a) for a in fam]
     best = [0]
-    nodes = [0]
 
     def rec(i, used, size):
-        nodes[0] += 1
-        if cap_nodes and nodes[0] > cap_nodes:
-            raise OverflowError("matching search cap exceeded")
         if size + (len(masks) - i) <= best[0]:
             return
         if i == len(masks):
@@ -237,7 +238,7 @@ def critical_edge_and_anchor(h):
     raise ValueError("pattern has no critical edge")
 
 
-def residual_family(h, q, n, variant="low", embed_cap=2_000_000):
+def residual_family(h, q, n, variant="low"):
     """Residuals A - E(Q) of copies A of h in K_n meeting the structure q.
 
     Variants "all" and "low" list only the copies through q: each pattern
@@ -317,7 +318,7 @@ def residual_family(h, q, n, variant="low", embed_cap=2_000_000):
                 fixed[v] = outside
             for img in embeddings(h, host, fixed):
                 count += 1
-                if count > embed_cap:
+                if count > EMBED_CAP:
                     raise OverflowError("embedding cap exceeded")
                 record(frozenset(tuple(sorted((img[a], img[b])))
                                  for (a, b) in h.edges()))
@@ -328,13 +329,13 @@ def residual_family(h, q, n, variant="low", embed_cap=2_000_000):
     return hyper, completions
 
 
-def janson_moments(family, p, exact=False, profile_limit=200000):
+def janson_moments(family, p, exact=False):
     """First and second Janson moments of a family under p-thinning.
 
     mu = sum over members of p^|A|.  Delta = sum over unordered pairs of
     distinct intersecting members of p^|A u B|.  Also returns the degree
     profile: for each j, the largest number of members containing a common
-    j-subset (skipped past profile_limit subset enumerations).
+    j-subset (skipped past PROFILE_LIMIT subset enumerations).
     """
     fam = sorted(set(frozenset(a) for a in family), key=lambda a: tuple(sorted(a)))
     num = Fraction if exact else float
@@ -360,7 +361,7 @@ def janson_moments(family, p, exact=False, profile_limit=200000):
             for t in itertools.combinations(sorted(a), j):
                 cnt[t] += 1
                 work += 1
-        if work > profile_limit:
+        if work > PROFILE_LIMIT:
             break
         profile[j] = max(cnt.values(), default=0)
     return {"mu": mu, "delta": delta, "degree_profile": profile,

@@ -1,18 +1,18 @@
 """Pattern graph invariants and threshold constants.
 
 For a pattern h with at least two edges the 2-density is the maximum of
-(e_F - 1)/(v_F - 2) over subgraphs F with at least two edges.  From the
-pattern's copy count inside slightly-augmented complete multipartite hosts
-we extract an exact rational leading coefficient pi, and from it the
-threshold coefficient theta and the probability threshold used throughout.
+(e_F - 1)/(v_F - 2) over subgraphs F with at least two edges.  pi, the
+exact leading coefficient of the pattern's copy count in augmented complete
+multipartite hosts, is counted from colourings (see pi_coefficient); from it
+come the threshold coefficient theta and the probability threshold used
+throughout, both undefined when pi = 0 (a pattern that is not edge-critical).
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from .graph import Graph, blowup_plus
-from .copies import count_copies, are_isomorphic
+from .copies import are_isomorphic, automorphism_count
 
 
 def two_density(h):
@@ -58,68 +58,45 @@ def is_edge_critical(h):
 
 
 def pi_coefficient(h):
-    """Exact leading coefficient of the copy count in augmented blowups.
+    """Exact leading coefficient pi of the copy count in augmented blowups.
 
-    Counts copies of h in the complete (chi-1)-partite graph with classes of
-    size m plus one extra edge, for v_H - 1 values of m; the count is a
-    polynomial in m of degree at most v_H - 2 and pi is its top coefficient.
-    The interpolation is validated at one further m.
+    The host is K_{m,...,m} with r = chi(h) - 1 parts plus an edge xy inside
+    part 0.  As h is not r-colourable, every copy maps some edge ab of h
+    onto xy; each other vertex u then picks a part c(u) and one of its ~m
+    vertices, with c(a) = c(b) = 0 and c proper on every edge but ab.  So
+    the copy count is a polynomial in m whose m^(v-2) coefficient is
+    2 * (sum over edges ab of the number of such c) / |Aut h|, the 2 for the
+    two orientations of ab on xy.  It is 0 exactly when h has no critical
+    edge.
     """
-    chi = h.chromatic_number()
-    r = chi - 1
+    r = h.chromatic_number() - 1
     if r < 2:
         raise ValueError("pattern must have chromatic number at least 3")
-    v = h.n
-    npts = max(v - 1, 3)                    # at least cubic sampling
-    ms = list(range(v, v + npts))
-    counts = [Fraction(count_copies(h, blowup_plus(r, m))) for m in ms]
-    coeffs = _interpolate(ms, counts)
-    deg = len(coeffs) - 1
-    while deg > 0 and coeffs[deg] == 0:
-        deg -= 1
-    if deg > v - 2:
-        raise AssertionError("copy count grows faster than expected")
-    m_check = v + npts
-    predicted = sum(c * Fraction(m_check) ** i for i, c in enumerate(coeffs))
-    actual = count_copies(h, blowup_plus(r, m_check))
-    if predicted != actual:
-        raise AssertionError("interpolated polynomial failed validation")
-    pi = coeffs[v - 2] if v - 2 < len(coeffs) else Fraction(0)
-    if pi <= 0:
-        raise AssertionError("leading coefficient must be positive")
-    return pi
-
-
-def _interpolate(xs, ys):
-    """Lagrange interpolation; returns polynomial coefficients (Fractions)."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        # numerator polynomial prod_{j != i} (x - x_j), coefficients low->high
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(num) + 1)
-            for k, c in enumerate(num):
-                new[k + 1] += c
-                new[k] -= c * xs[j]
-            num = new
-            denom *= Fraction(xs[i] - xs[j])
-        for k, c in enumerate(num):
-            coeffs[k] += c * ys[i] / denom
-    return coeffs
+    aut = automorphism_count(h)
+    edges = h.edges()
+    count = 0
+    for (a, b) in edges:
+        rest = [u for u in range(h.n) if u != a and u != b]
+        others = [e for e in edges if e != (a, b)]
+        c = [0] * h.n
+        for colours in itertools.product(range(r), repeat=len(rest)):
+            for u, k in zip(rest, colours):
+                c[u] = k
+            count += all(c[u] != c[v] for (u, v) in others)
+    return Fraction(2 * count, aut)
 
 
 def theta_coefficient(h, pi=None, m2=None):
     """Positive solution of (chi-1)^(2-v) * pi * theta^(e-1) = 2 - 1/m2.
 
     Returns (theta_float, exact_power, exponent_denominator) where
-    exact_power is the Fraction theta^(e_H - 1).
+    exact_power is the Fraction theta^(e_H - 1).  Raises ValueError when
+    pi = 0, i.e. when h is not edge-critical.
     """
     if pi is None:
         pi = pi_coefficient(h)
+    if not pi:
+        raise ValueError("theta needs an edge-critical pattern (pi = 0)")
     if m2 is None:
         m2, _, _ = two_density(h)
     r = h.chromatic_number() - 1
@@ -131,13 +108,19 @@ def theta_coefficient(h, pi=None, m2=None):
 
 def p_threshold(h, n, c_mult=1.0, theta=None):
     """Threshold probability theta * n^(-1/m2) * (log n)^(1/(e-1)), clipped
-    to [0, 1].  Logs are natural throughout."""
+    to [0, 1].  Logs are natural throughout.  Raises ValueError when h is
+    not edge-critical, since theta is then undefined."""
+    m2, _, _ = two_density(h)
+    if theta is None:
+        theta, _, _ = theta_coefficient(h, m2=m2)
+    return _clipped_threshold(n, c_mult, theta, m2, h.edge_count())
+
+
+def _clipped_threshold(n, c_mult, theta, m2, e):
     if n < 2:
         raise ValueError("need n >= 2")
     if theta is None:
-        theta, _, _ = theta_coefficient(h)
-    m2, _, _ = two_density(h)
-    e = h.edge_count()
+        raise ValueError("p_H needs an edge-critical pattern (pi = 0)")
     p = c_mult * theta * n ** (-1 / float(m2)) * math.log(n) ** (1.0 / (e - 1))
     return min(1.0, max(0.0, p))
 
@@ -167,11 +150,12 @@ class PatternProfile:
         self.m2, self.m2_witnesses, self.strictly_balanced = two_density(h)
         self.edge_critical, self.critical_edges = is_edge_critical(h)
         self.pi = pi_coefficient(h)
-        self.theta, self.theta_power, self.theta_exponent = \
-            theta_coefficient(h, pi=self.pi, m2=self.m2)
+        self.theta, self.theta_power, self.theta_exponent = (
+            theta_coefficient(h, pi=self.pi, m2=self.m2) if self.pi
+            else (None, None, self.e - 1))      # theta undefined when pi = 0
 
     def p_threshold(self, n, c_mult=1.0):
-        return p_threshold(self.pattern, n, c_mult=c_mult, theta=self.theta)
+        return _clipped_threshold(n, c_mult, self.theta, self.m2, self.e)
 
     def as_dict(self):
         return {
@@ -183,7 +167,8 @@ class PatternProfile:
             "edge_critical": self.edge_critical,
             "critical_edges": [list(e) for e in self.critical_edges],
             "pi": _frac_str(self.pi),
-            "theta_power": _frac_str(self.theta_power),
+            "theta_power": (None if self.theta_power is None
+                            else _frac_str(self.theta_power)),
             "theta_exponent": self.theta_exponent,
             "theta": self.theta,
         }

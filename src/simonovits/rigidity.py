@@ -39,9 +39,9 @@ class CutFamily:
     allocated once, at the size the balance window allows.
     """
 
-    def __init__(self, n, r, delta, q=None, guard=FAMILY_GUARD):
+    def __init__(self, n, r, delta, q=None):
         import numpy as np
-        if r ** n > guard:
+        if r ** n > FAMILY_GUARD:
             raise GuardExceeded("cut family too large: %d^%d" % (r, n))
         self.n = n
         self.r = r

@@ -220,7 +220,7 @@ def _max_bounded_subgraph(i, cap, exact_limit=24):
     return g, "greedy"
 
 
-def construct_QF(f, cut, constants=PAPER_DEFAULTS, p=None, exact_limit=24):
+def construct_QF(f, cut, constants=PAPER_DEFAULTS, p=None):
     """Build the coloured structure Q from a graph f and a canonical cut.
 
     Case 1 (low-degree part dominates): the largest subgraph of the first
@@ -256,7 +256,7 @@ def construct_QF(f, cut, constants=PAPER_DEFAULTS, p=None, exact_limit=24):
         return finish_ql(Graph(n), "empty")
 
     cap = 2 * eta_np
-    i_low, method = _max_bounded_subgraph(i_graph, cap, exact_limit)
+    i_low, method = _max_bounded_subgraph(i_graph, cap)
     stats["low_part_method"] = method
     if 2 * i_low.edge_count() >= e_i:
         # Case 1

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from simonovits import cli, solvers
+from simonovits import cli, graph, solvers
 from simonovits.graph import complete_graph
 
 
@@ -279,3 +279,44 @@ def test_enumeration_cap_exits_indeterminate(tmp_path, monkeypatch):
     assert run(["check-simonovits", "--graph", k8, "--pattern", "triangle",
                 "--json-out", str(out)]) == 4
     assert json.loads(out.read_text())["decision"] == "indeterminate"
+
+
+BOWTIE = "5:0-1,0-2,1-2,2-3,2-4,3-4"     # chi 3, no critical edge
+
+
+@pytest.mark.parametrize("name", sorted(graph.NAMED_GRAPHS))
+def test_analyze_pattern_every_named_graph(name, capsys):
+    assert run(["analyze-pattern", "--pattern", name]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert (d["theta"] is None) == (d["pi"] == "0/1")
+
+
+def test_analyze_pattern_not_edge_critical(capsys):
+    assert run(["analyze-pattern", "--pattern", BOWTIE]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["edge_critical"] is False
+    assert (d["pi"], d["theta"], d["theta_power"]) == ("0/1", None, None)
+
+
+def test_analyze_pattern_bipartite_exits_2():
+    assert run(["analyze-pattern", "--pattern", "4:0-1,1-2,2-3,3-0"]) == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--p-grid", "0.5"]],
+                         ids=["multipliers", "p-grid"])
+def test_scan_threshold_not_edge_critical_exits_2(tmp_path, monkeypatch,
+                                                  capsys, extra):
+    def no_sampling(*args):
+        raise AssertionError("sampled a host")
+    monkeypatch.setattr(cli, "sample_gnp", no_sampling)
+    out = tmp_path / "scan.csv"
+    assert run(["scan-threshold", "--pattern", BOWTIE, "--n-grid", "8",
+                "--trials", "2", "--out", str(out)] + extra) == 2
+    assert "p_H needs an edge-critical pattern" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_lemma_balanced_not_edge_critical(capsys):
+    assert run(["verify-lemma", "--lemma", "balanced",
+                "--pattern", BOWTIE]) == 0
+    assert json.loads(capsys.readouterr().out)["lemma"] == "balanced"

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from simonovits.copies import count_copies
 from simonovits.graph import (Graph, complete_graph, cycle_graph,
-                              named_graph, petersen_graph, disjoint_union)
+                              named_graph, petersen_graph, disjoint_union,
+                              blowup_plus, graph_from_spec)
 from simonovits.patterns import (two_density, is_edge_critical,
                                  pi_coefficient, theta_coefficient,
                                  p_threshold, dense_min_degree_bound,
@@ -48,6 +50,116 @@ def test_pi_values():
     assert pi_coefficient(named_graph("k4")) == 1
 
 
+# The blow-up fit that computed pi before the colouring count: copy counts
+# in v_H - 1 augmented blowups, Lagrange-interpolated and checked at one
+# more class size.  Kept as the oracle for the differential test below.
+def _reference_pi(h):
+    """Exact leading coefficient of the copy count in augmented blowups.
+
+    Counts copies of h in the complete (chi-1)-partite graph with classes of
+    size m plus one extra edge, for v_H - 1 values of m; the count is a
+    polynomial in m of degree at most v_H - 2 and pi is its top coefficient.
+    The interpolation is validated at one further m.
+    """
+    chi = h.chromatic_number()
+    r = chi - 1
+    if r < 2:
+        raise ValueError("pattern must have chromatic number at least 3")
+    v = h.n
+    npts = max(v - 1, 3)                    # at least cubic sampling
+    ms = list(range(v, v + npts))
+    counts = [Fraction(count_copies(h, blowup_plus(r, m))) for m in ms]
+    coeffs = _interpolate(ms, counts)
+    deg = len(coeffs) - 1
+    while deg > 0 and coeffs[deg] == 0:
+        deg -= 1
+    if deg > v - 2:
+        raise AssertionError("copy count grows faster than expected")
+    m_check = v + npts
+    predicted = sum(c * Fraction(m_check) ** i for i, c in enumerate(coeffs))
+    actual = count_copies(h, blowup_plus(r, m_check))
+    if predicted != actual:
+        raise AssertionError("interpolated polynomial failed validation")
+    pi = coeffs[v - 2] if v - 2 < len(coeffs) else Fraction(0)
+    if pi <= 0:
+        raise AssertionError("leading coefficient must be positive")
+    return pi
+
+
+def _interpolate(xs, ys):
+    """Lagrange interpolation; returns polynomial coefficients (Fractions)."""
+    n = len(xs)
+    coeffs = [Fraction(0)] * n
+    for i in range(n):
+        # numerator polynomial prod_{j != i} (x - x_j), coefficients low->high
+        num = [Fraction(1)]
+        denom = Fraction(1)
+        for j in range(n):
+            if j == i:
+                continue
+            new = [Fraction(0)] * (len(num) + 1)
+            for k, c in enumerate(num):
+                new[k + 1] += c
+                new[k] -= c * xs[j]
+            num = new
+            denom *= Fraction(xs[i] - xs[j])
+        for k, c in enumerate(num):
+            coeffs[k] += c * ys[i] / denom
+    return coeffs
+
+
+
+@pytest.mark.parametrize("spec", [
+    "triangle", "c5", "k4", "k5",
+    "4:0-1,0-2,1-2,2-3",                           # paw
+    "5:0-1,1-2,2-3,3-4,4-0,0-2",                   # C5 with a chord
+    "5:0-1,0-2,1-2,0-3,1-3,2-3,3-4",               # K4 plus a pendant edge
+    "5:0-1,1-2,0-2,3-4",                           # triangle plus an edge
+    "6:0-1,1-2,2-0,0-3,3-4,4-5,5-0",               # triangle and C4 at a vertex
+])
+def test_pi_matches_blowup_fit(spec):
+    h = graph_from_spec(spec)
+    assert pi_coefficient(h) == _reference_pi(h)
+
+
+@pytest.mark.parametrize("spec", [
+    "5:0-1,0-2,1-2,2-3,2-4,3-4",                   # bowtie
+    "6:0-1,1-2,0-2,3-4,4-5,3-5",                   # two disjoint triangles
+    "6:0-2,0-3,0-4,0-5,1-2,1-3,1-4,1-5,2-4,2-5,3-4,3-5",   # K_{2,2,2}
+])
+def test_pi_zero_without_critical_edge(spec):
+    h = graph_from_spec(spec)
+    assert pi_coefficient(h) == 0
+    assert not is_edge_critical(h)[0]
+
+
+def test_pi_direct_values():
+    # the blow-up fit takes 2.5-30 s on these, so the values are stated
+    assert pi_coefficient(cycle_graph(7)) == 1
+    wheel = graph_from_spec("6:0-1,0-2,0-3,0-4,0-5,1-2,2-3,3-4,4-5,5-1")
+    assert pi_coefficient(wheel) == 4
+    assert pi_coefficient(petersen_graph()) == 0
+
+
+def test_non_edge_critical_profile_has_no_theta():
+    h = petersen_graph()
+    prof = PatternProfile(h)
+    assert prof.theta is None and prof.theta_power is None
+    d = prof.as_dict()
+    assert (d["pi"], d["theta"], d["theta_power"]) == ("0/1", None, None)
+    assert d["edge_critical"] is False
+    for call in (lambda: theta_coefficient(h),
+                 lambda: p_threshold(h, 10),
+                 lambda: prof.p_threshold(10)):
+        with pytest.raises(ValueError, match="edge-critical"):
+            call()
+
+
+def test_pi_rejects_isolated_vertex():
+    with pytest.raises(ValueError, match="isolated"):
+        pi_coefficient(Graph(4, [(0, 1), (1, 2), (0, 2)]))
+
+
 def test_pi_rejects_bipartite():
     with pytest.raises(ValueError):
         pi_coefficient(cycle_graph(4))
@@ -81,6 +193,13 @@ def test_p_threshold_shape():
     assert abs(p12 - min(1.0, expect)) < 1e-12
     assert prof.p_threshold(10 ** 6) < prof.p_threshold(100)
     assert prof.p_threshold(12, c_mult=4.0) == min(1.0, 4 * expect)
+    # the profile reads its own constants and gives the same floats
+    for name in ("triangle", "c5", "k4"):
+        h = named_graph(name)
+        prof = PatternProfile(h)
+        for n in (2, 8, 10, 12, 1000):
+            for c in (0.25, 1.0, 4.0):
+                assert prof.p_threshold(n, c) == p_threshold(h, n, c_mult=c)
 
 
 def test_dense_min_degree_bound():
