@@ -205,10 +205,9 @@ def mu_delta_lemma_check(which, h, q, s, n, p, profile=None):
     reports exact moments and fitted constants against the asymptotic
     targets (descriptive, not pass/fail).
     """
-    from .graph import Graph, ColoredGraph, complete_multipartite, edge_index
+    from .graph import ColoredGraph, complete_multipartite, bitset_members
     from .copies import residual_family, janson_moments, count_copies
     from .patterns import PatternProfile
-    from .graph import bitset_members
 
     if profile is None:
         profile = PatternProfile(h)

@@ -23,7 +23,6 @@ from .randgraphs import RngStream, sample_gnp
 from . import bounds
 from .copies import residual_family
 from .rigidity import CutFamily, GuardExceeded, run_switching, validate_trace
-from .structure import ConstructionInfeasible
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -430,7 +429,7 @@ def main(argv=None):
     except (KeyError, ValueError) as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return EXIT_CONFIG
-    except (TooLargeError, GuardExceeded, ConstructionInfeasible) as exc:
+    except (TooLargeError, GuardExceeded) as exc:
         sys.stderr.write("guard refusal: %s\n" % exc)
         return EXIT_GUARD
 

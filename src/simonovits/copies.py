@@ -230,12 +230,12 @@ def matching_number(family):
 def critical_edge_and_anchor(h):
     """Canonical critical edge f (removing it lowers the chromatic number)
     and anchor endpoint: the endpoint of smallest degree, ties by label."""
-    chi = h.chromatic_number()
-    for (u, v) in h.edges():
-        if h.without_edge(u, v).chromatic_number() < chi:
-            anchor = min((h.degree(u), u), (h.degree(v), v))[1]
-            return (u, v), anchor
-    raise ValueError("pattern has no critical edge")
+    from .patterns import is_edge_critical  # patterns imports this module
+    crit = is_edge_critical(h)[1]
+    if not crit:
+        raise ValueError("pattern has no critical edge")
+    u, v = crit[0]
+    return (u, v), min((h.degree(u), u), (h.degree(v), v))[1]
 
 
 def residual_family(h, q, n, variant="low"):

@@ -6,7 +6,6 @@ Several modules treat edge sets of K_n as bitmask integers under this indexing.
 """
 
 import itertools
-import math
 
 
 def edge_index(n, u, v):

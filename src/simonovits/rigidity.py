@@ -14,7 +14,7 @@ import math
 import random
 
 from .graph import Graph, PartTuple, ColoredGraph, edge_index, \
-    edge_from_index, bitset_members, assignment_chunks
+    bitset_members, assignment_chunks
 from .bounds import PAPER_DEFAULTS
 
 FAMILY_GUARD = 10 ** 8
@@ -225,15 +225,6 @@ class SwitchTrace:
         self.f_masks = [0]
         self.terminal = None
         self.params = params
-
-    def as_dict(self):
-        return {"n": self.n, "g0": _mask_edges(self.n, self.g0_mask),
-                "steps": self.steps, "terminal": self.terminal,
-                "params": self.params}
-
-
-def _mask_edges(n, mask):
-    return [list(edge_from_index(n, i)) for i in bitset_members(mask)]
 
 
 def _q_in_core(q, core):

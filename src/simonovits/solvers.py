@@ -1,9 +1,9 @@
 """Exact desk-scale extremal solvers.
 
-Maximum r-cuts, maximum pattern-free subgraphs via minimum transversals of
-the copy hypergraph, the Simonovits decision (is every largest h-free
-subgraph (chi(h)-1)-partite?), a canonical choice of maximum cut, and the
-dense-regime peeling argument.
+Maximum r-cuts and a canonical choice among them (both from one branch
+and bound), maximum pattern-free subgraphs via minimum transversals of the
+copy hypergraph, the Simonovits decision (is every largest h-free subgraph
+(chi(h)-1)-partite?), and the dense-regime peeling argument.
 
 The decision starts from the best r-cut, a lower bound on ex(g, h): one
 transversal search at that size either lists every optimum or finds a
@@ -16,7 +16,7 @@ decision on one edge updates every copy through it at once.
 import functools
 import random
 
-from .graph import Graph, PartTuple, ext_int, assignment_chunks
+from .graph import Graph, PartTuple, ext_int
 from .copies import enumerate_copies
 from .patterns import is_edge_critical, dense_min_degree_bound
 
@@ -39,74 +39,78 @@ class _ShorterTransversal(Exception):
 
 # -- maximum r-cuts ------------------------------------------------------
 
-def _cut_value(g, assign):
-    val = 0
-    for (u, v) in g.edges():
-        if assign[u] != assign[v]:
-            val += 1
-    return val
+def _max_cut_search(g, r, leaf=None):
+    """Branch and bound for the most crossing edges over assignments of
+    g's vertices to parts 0..r-1; returns (best assignment, value), the
+    first best one when no leaf is given.
 
-
-def max_r_cut(g, r, mode="exact", seed=0):
-    """Largest number of crossing edges over complete r-part partitions.
-
-    exact mode: branch and bound with part-label symmetry breaking, guarded.
-    local mode: vertex-move local search from a seeded random start; the
-    result satisfies the unfriendly condition (each vertex has at most as
-    many neighbours in its own part as in any other part).
-    Returns (PartTuple, value).
+    Vertices go by decreasing degree, ties by label, each into a used part
+    or the next new one, so each partition is met in one labelling.
+    Degree-0 vertices are left out, in part 0.  A node is cut off when its
+    crossing edges plus the edges still to place cannot beat the best leaf.
+    With leaf, ties are kept (cut off on < rather than <=) and
+    leaf(value, assign) is called at every leaf at least as good as the
+    best so far, so every maximum cut relabels some reported leaf.
     """
+    adj = g.adj
+    order = sorted((v for v in range(g.n) if adj[v]),
+                   key=lambda v: -g.degree(v))
+    m = len(order)
+    total = g.edge_count()
+    # placed[i]: the vertices order[:i]; future[i]: the edges with at least
+    # one end in order[i:]
+    placed = [0] * (m + 1)
+    future = [0] * (m + 1)
+    inside = 0
+    for i, v in enumerate(order):
+        future[i] = total - inside
+        inside += (adj[v] & placed[i]).bit_count()
+        placed[i + 1] = placed[i] | 1 << v
+    tie = 0 if leaf else 1
+    best_val, best_assign = -1, None
+    assign = [0] * g.n
+    parts = [0] * r
+
+    def rec(i, cur, used):
+        nonlocal best_val, best_assign
+        if cur + future[i] < best_val + tie:
+            return
+        if i == m:
+            best_val, best_assign = cur, list(assign)
+            if leaf:
+                leaf(cur, best_assign)
+            return
+        v = order[i]
+        back = adj[v] & placed[i]
+        nback = back.bit_count()
+        for c in range(min(r, used + 1)):
+            assign[v] = c
+            parts[c] |= 1 << v
+            rec(i + 1, cur + nback - (back & parts[c]).bit_count(),
+                max(used, c + 1))
+            parts[c] ^= 1 << v
+
+    rec(0, 0, 0)
+    return best_assign, best_val
+
+
+def max_r_cut(g, r):
+    """Largest number of crossing edges over complete r-part partitions:
+    (PartTuple, value) of the branch and bound's first best assignment.
+    Raises TooLargeError for n > 16 or r^(n-1) > EXACT_CUT_GUARD."""
     if r < 2:
         raise ValueError("need r >= 2")
     n = g.n
-    if mode == "local":
-        return _local_max_cut(g, r, seed)
-    if mode != "exact":
-        raise ValueError("unknown mode %r" % mode)
     if r ** max(n - 1, 0) > EXACT_CUT_GUARD or n > 16:
         raise TooLargeError("exact cut search too large (n=%d, r=%d)" % (n, r))
-    # order vertices by degree for stronger pruning
-    order = sorted(range(n), key=lambda v: -g.degree(v))
-    adj = g.adj
-    best_val = -1
-    best_assign = None
-    assign = [-1] * n
-    # future[i] = number of edges with at least one end in order[i:]
-    future = [0] * (n + 1)
-    prefix_mask = 0
-    total = g.edge_count()
-    inside = 0
-    for i in range(n):
-        future[i] = total - inside
-        inside += (adj[order[i]] & prefix_mask).bit_count()
-        prefix_mask |= 1 << order[i]
-
-    def rec(i, cur, used_parts):
-        nonlocal best_val, best_assign
-        if cur + future[i] <= best_val:
-            return
-        if i == n:
-            best_val = cur
-            best_assign = list(assign)
-            return
-        v = order[i]
-        limit = min(r, used_parts + 1)
-        for c in range(limit):
-            gain = 0
-            for j in range(i):
-                w = order[j]
-                if adj[v] >> w & 1 and assign[w] != c:
-                    gain += 1
-            assign[v] = c
-            rec(i + 1, cur + gain, max(used_parts, c + 1))
-            assign[v] = -1
-
-    rec(0, 0, 0)
-    part = PartTuple.from_assignment(best_assign, r)
-    return part, best_val
+    assign, val = _max_cut_search(g, r)
+    return PartTuple.from_assignment(assign, r), val
 
 
-def _local_max_cut(g, r, seed):
+def local_max_cut(g, r, seed):
+    """Vertex-move local search from a seeded random start, as (PartTuple,
+    value).  The result satisfies the unfriendly condition: each vertex has
+    at most as many neighbours in its own part as in any other part."""
     rng = random.Random(seed)
     assign = [rng.randrange(r) for _ in range(g.n)]
     nbrs = [list(g.neighbours(v)) for v in range(g.n)]
@@ -125,7 +129,7 @@ def _local_max_cut(g, r, seed):
                 assign[v] = best_c
                 improved = True
     part = PartTuple.from_assignment(assign, r)
-    return part, _cut_value(g, assign)
+    return part, sum(assign[u] != assign[v] for (u, v) in g.edges())
 
 
 def is_unfriendly(g, part):
@@ -146,24 +150,26 @@ def is_unfriendly(g, part):
 def canonical_cut(f, r):
     """Deterministic maximum r-cut: maximise crossing edges, then internal
     edges of the first part, then take the lexicographically least
-    part-assignment vector."""
-    import numpy as np
-    n = f.n
-    if r ** n > EXACT_CUT_GUARD:
+    part-assignment vector.  The branch and bound lists every maximum cut
+    up to part labels, so the cut is the best relabelling of a listed leaf;
+    degree-0 vertices take part 0, the least label, under every one."""
+    from itertools import permutations
+    if r ** f.n > EXACT_CUT_GUARD:
         raise TooLargeError("canonical cut enumeration too large")
-    us, vs = np.array(f.edges(), dtype=np.intp).reshape(-1, 2).T
-    best_key, best = -1, None
-    # assignments come in lexicographic order, so the first row with the
-    # best key is the least one
-    for digits in assignment_chunks(n, r):
-        du, dv = digits[:, us], digits[:, vs]
-        val = np.count_nonzero(du != dv, axis=1)
-        int_v1 = np.count_nonzero((du == 0) & (dv == 0), axis=1)
-        key = val * (len(us) + 1) + int_v1
-        i = int(key.argmax())
-        if key[i] > best_key:
-            best_key, best = key[i], digits[i]
-    return PartTuple.from_assignment(best.tolist(), r)
+    adj, edges = f.adj, f.edges()
+    relabels = list(permutations(range(r)))
+    best = None  # (-crossing, -internal edges of part 0, assignment)
+
+    def leaf(value, assign):
+        nonlocal best
+        for perm in relabels:
+            a = [perm[c] if adj[v] else 0 for v, c in enumerate(assign)]
+            key = (-value, -sum(a[u] == 0 == a[v] for u, v in edges), a)
+            if best is None or key < best:
+                best = key
+
+    _max_cut_search(f, r, leaf)
+    return PartTuple.from_assignment(best[2], r)
 
 
 # -- minimum transversals of the copy hypergraph -------------------------
@@ -420,7 +426,7 @@ def is_simonovits(g, h):
         return SimonovitsVerdict(
             "no", certificate=w,
             reason="free edges span a non-r-partite subgraph")
-    _, best_rp = max_r_cut(g, r, mode="exact")
+    _, best_rp = max_r_cut(g, r)
     cap = None
     try:
         # ex >= best_rp, so [] means that no optimum has best_rp edges
@@ -498,7 +504,7 @@ def augment_rpartite(g, gprime_part):
     inside = [v for v in range(g.n) if assign[v] >= 0]
     outside = [v for v in range(g.n) if assign[v] < 0]
     sub = g.induced_in_place(outside)
-    part, _ = _local_max_cut(sub, r, seed=0)
+    part, _ = local_max_cut(sub, r, seed=0)
     sub_assign = part.assignment()
     for v in outside:
         assign[v] = sub_assign[v]

@@ -7,10 +7,8 @@ import itertools
 import math
 import random
 
-from .graph import (Graph, ColoredGraph, PartTuple, edge_index,
-                    bitset_members)
-from .copies import (CopyHypergraph, residual_family, janson_moments,
-                     enumerate_copies)
+from .graph import Graph, ColoredGraph, edge_index, bitset_members
+from .copies import CopyHypergraph, residual_family, janson_moments
 from .bounds import PAPER_DEFAULTS, upper_tail_rho
 
 
@@ -285,12 +283,12 @@ def construct_QF(f, cut, constants=PAPER_DEFAULTS, p=None):
     tilde = Graph(n, [(u, v) for (u, v) in i_graph.edges()
                       if u in y or v in y])
     support = [v for v in range(n) if tilde.degree(v) > 0]
-    from .solvers import max_r_cut, TooLargeError
+    from .solvers import max_r_cut, local_max_cut, TooLargeError
     sub = tilde.induced(support)
-    if len(support) <= 16:
-        part, _ = max_r_cut(sub, 2, mode="exact")
-    else:
-        part, _ = max_r_cut(sub, 2, mode="local")
+    try:
+        part, _ = max_r_cut(sub, 2)
+    except TooLargeError:
+        part, _ = local_max_cut(sub, 2, seed=0)
     sub_assign = part.assignment()
     side = {support[i]: sub_assign[i] for i in range(len(support))}
     best_side = None

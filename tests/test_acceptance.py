@@ -16,7 +16,7 @@ from simonovits.graph import (Graph, ColoredGraph, complete_graph,
 from simonovits.patterns import PatternProfile, dense_min_degree_bound
 from simonovits.copies import (enumerate_copies, count_copies,
                                janson_moments, residual_family)
-from simonovits.solvers import max_H_free, max_r_cut, is_simonovits, \
+from simonovits.solvers import max_H_free, local_max_cut, is_simonovits, \
     dense_peel
 from simonovits.bounds import janson_corollaries
 from simonovits.randgraphs import RngStream, sample_gnp
@@ -329,7 +329,7 @@ def test_structure_suite(capsys):
         for t in range(100):
             p = 0.35 + 0.3 * (t % 5) / 4
             g = sample_gnp(40, p, RngStream(2222, t))
-            cut, _ = max_r_cut(g, 2, mode="local", seed=t)
+            cut, _ = local_max_cut(g, 2, seed=t)
             try:
                 qf = construct_QF(g, cut, p=p)
             except ConstructionInfeasible:
@@ -355,7 +355,7 @@ def test_structure_suite(capsys):
         fitted = []
         for t in range(10):
             g = sample_gnp(40, 0.5, RngStream(11, t))
-            cut, _ = max_r_cut(g, 2, mode="local", seed=t)
+            cut, _ = local_max_cut(g, 2, seed=t)
             try:
                 qf = construct_QF(g, cut, p=0.5)
             except ConstructionInfeasible:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from simonovits import solvers
 from simonovits.randgraphs import RngStream, sample_gnp
 from simonovits.graph import (Graph, complete_graph, cycle_graph,
-                              named_graph, petersen_graph, disjoint_union,
-                              parse_inline, PartTuple, all_pairs)
-from simonovits.solvers import (max_r_cut, is_unfriendly, canonical_cut,
-                                max_H_free, enumerate_optimal_H_free,
+                              complete_multipartite, named_graph,
+                              petersen_graph, disjoint_union, parse_inline,
+                              PartTuple, all_pairs)
+from simonovits.solvers import (max_r_cut, local_max_cut, is_unfriendly,
+                                canonical_cut, max_H_free,
+                                enumerate_optimal_H_free,
                                 free_edge_witness, is_simonovits,
                                 dense_peel, augment_rpartite, TooLargeError,
                                 EnumerationCapError, NODE_CAP, SOL_CAP,
@@ -34,14 +37,14 @@ def test_max_cut_three_parts():
 
 def test_max_cut_guard():
     with pytest.raises(TooLargeError):
-        max_r_cut(complete_graph(20), 2, mode="exact")
+        max_r_cut(complete_graph(20), 2)
 
 
 def test_local_cut_is_unfriendly():
     g = petersen_graph()
-    part, val = max_r_cut(g, 2, mode="local", seed=3)
+    part, val = local_max_cut(g, 2, seed=3)
     assert is_unfriendly(g, part)
-    _, exact = max_r_cut(g, 2, mode="exact")
+    _, exact = max_r_cut(g, 2)
     assert val <= exact == 12
 
 
@@ -70,9 +73,9 @@ def _reference_canonical_cut(f, r):
     return PartTuple.from_assignment(list(best[2]), r)
 
 
-# n = 12 with r = 2 fills one chunk of 2^12 assignments, n = 8 and 9 with
-# r = 3 span two and five, and the n = 14 pattern-free hosts below four;
-# every n = 1 host and every edgeless host is all ties
+# the sizes the product loop checks in about a second; every n = 1 host and
+# every edgeless host is all ties, and an edgeless host gives the branch
+# and bound no vertex to place
 CANONICAL_CASES = ([(n, 2) for n in range(1, 13)]
                    + [(n, 3) for n in range(1, 10)])
 
@@ -84,6 +87,50 @@ def test_canonical_cut_matches_product_loop(n, r):
     for g in hosts:
         assert canonical_cut(g, r) == _reference_canonical_cut(g, r), \
             g.edges()
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for (u, v) in g.edges()])
+
+
+def _cut_hosts():
+    """Complete bi- and tripartite hosts, hosts with isolated vertices and
+    disjoint unions of 2-4 components, as given and with shuffled labels."""
+    hosts = [complete_multipartite(s)
+             for s in ([1, 1], [2, 3], [3, 3], [1, 6], [4, 5], [1, 1, 1],
+                       [1, 2, 3], [2, 2, 2], [3, 3, 2])]
+    for t, (n, k) in enumerate([(3, 1), (4, 2), (5, 3), (6, 1), (6, 3),
+                                (7, 2)]):
+        g = sample_gnp(n, 0.6, RngStream(31, t))
+        hosts.append(Graph(n + k, g.edges()))
+    for t, sizes in enumerate([(2, 3), (3, 3), (1, 4, 2), (3, 2, 4),
+                               (2, 2, 2, 2), (1, 3, 2, 3)]):
+        g = Graph(0, [])
+        for i, m in enumerate(sizes):
+            g = disjoint_union(g, sample_gnp(m, 0.7, RngStream(32, 10 * t + i)))
+        hosts.append(g)
+    return hosts + [_relabelled(g, t) for t, g in enumerate(hosts)]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_canonical_cut_matches_product_loop_on_structured_hosts(r):
+    for g in _cut_hosts():
+        assert canonical_cut(g, r) == _reference_canonical_cut(g, r), \
+            (g.n, g.edges())
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_isolated_vertices_go_to_part_zero_in_max_cut(r):
+    for g in _cut_hosts():
+        part, val = max_r_cut(g, r)
+        for k in (1, 3):
+            padded_part, padded_val = max_r_cut(Graph(g.n + k, g.edges()), r)
+            assert padded_val == val
+            assignment = padded_part.assignment()
+            assert assignment[:g.n] == part.assignment()
+            assert assignment[g.n:] == [0] * k
 
 
 # the hosts of the turan_gnp benchmark: largest pattern-free subgraphs of

@@ -6,7 +6,7 @@ import pytest
 from simonovits.graph import (Graph, ColoredGraph, PartTuple,
                               complete_graph, named_graph, edge_index)
 from simonovits.randgraphs import RngStream, sample_gnp
-from simonovits.solvers import max_r_cut
+from simonovits.solvers import local_max_cut
 from simonovits.copies import copies_as_hypergraph, residual_family, \
     CopyHypergraph
 from simonovits import structure
@@ -78,7 +78,7 @@ def test_max_bounded_subgraph_exact_vs_greedy():
 
 def _qf_instance(t, n=40, p=0.5):
     g = sample_gnp(n, p, RngStream(11, t))
-    cut, _ = max_r_cut(g, 2, mode="local", seed=t)
+    cut, _ = local_max_cut(g, 2, seed=t)
     return g, cut
 
 
