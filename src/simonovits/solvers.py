@@ -151,22 +151,29 @@ def canonical_cut(f, r):
     """Deterministic maximum r-cut: maximise crossing edges, then internal
     edges of the first part, then take the lexicographically least
     part-assignment vector.  The branch and bound lists every maximum cut
-    up to part labels, so the cut is the best relabelling of a listed leaf;
-    degree-0 vertices take part 0, the least label, under every one."""
-    from itertools import permutations
+    up to part labels; the best labels of a leaf give 0 to a part with the
+    most internal edges and 1, 2, ... to the others by least vertex."""
     if r ** f.n > EXACT_CUT_GUARD:
         raise TooLargeError("canonical cut enumeration too large")
-    adj, edges = f.adj, f.edges()
-    relabels = list(permutations(range(r)))
-    best = None  # (-crossing, -internal edges of part 0, assignment)
+    adj = f.adj
+    live = [v for v in range(f.n) if adj[v]]  # degree-0 vertices stay in 0
+    best = (1,)  # above every (-crossing, -2 * internal of part 0, assignment)
 
     def leaf(value, assign):
         nonlocal best
-        for perm in relabels:
-            a = [perm[c] if adj[v] else 0 for v, c in enumerate(assign)]
-            key = (-value, -sum(a[u] == 0 == a[v] for u, v in edges), a)
-            if best is None or key < best:
-                best = key
+        masks = [0] * r
+        for v in live:
+            masks[assign[v]] |= 1 << v
+        inner = [0] * r
+        for v in live:
+            inner[assign[v]] += (adj[v] & masks[assign[v]]).bit_count()
+        top = max(inner)
+        for z in (c for c in range(r) if inner[c] == top):
+            label = {z: 0}
+            a = [0] * f.n
+            for v in live:
+                a[v] = label.setdefault(assign[v], len(label))
+            best = min(best, (-value, -top, a))
 
     _max_cut_search(f, r, leaf)
     return PartTuple.from_assignment(best[2], r)

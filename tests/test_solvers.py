@@ -121,6 +121,36 @@ def test_canonical_cut_matches_product_loop_on_structured_hosts(r):
             (g.n, g.edges())
 
 
+def test_canonical_cut_matches_product_loop_at_seven_parts():
+    hosts = [complete_graph(6), cycle_graph(6), Graph(6, [(0, 3), (3, 5)])]
+    hosts += [sample_gnp(6, p, RngStream(33, t))
+              for t, p in enumerate((0.4, 0.7))]
+    for g in hosts:
+        assert canonical_cut(g, 7) == _reference_canonical_cut(g, 7), \
+            g.edges()
+
+
+def _first_fit(g):
+    colour = []
+    for v in range(g.n):
+        taken = {colour[w] for w in g.neighbours(v) if w < v}
+        colour.append(min(c for c in range(g.n) if c not in taken))
+    return colour
+
+
+# with more parts than the largest degree every edge can cross, and the
+# lexicographically least proper colouring is the first-fit one; r ** n is
+# just under EXACT_CUT_GUARD in each case
+@pytest.mark.parametrize("g,r", [(complete_graph(6), 13),
+                                 (complete_graph(7), 9),
+                                 (sample_gnp(7, 0.6, RngStream(34, 0)), 9),
+                                 (Graph(6, [(1, 4), (4, 2), (2, 1)]), 13),
+                                 (sample_gnp(6, 0.5, RngStream(34, 1)), 13)])
+def test_canonical_cut_near_guard_is_first_fit_colouring(g, r):
+    assert r ** g.n <= solvers.EXACT_CUT_GUARD < (r + 1) ** g.n
+    assert canonical_cut(g, r).assignment() == _first_fit(g)
+
+
 @pytest.mark.parametrize("r", [2, 3])
 def test_isolated_vertices_go_to_part_zero_in_max_cut(r):
     for g in _cut_hosts():
