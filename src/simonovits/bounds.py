@@ -205,7 +205,7 @@ def mu_delta_lemma_check(which, h, q, s, n, p, profile=None):
     reports exact moments and fitted constants against the asymptotic
     targets (descriptive, not pass/fail).
     """
-    from .graph import ColoredGraph, complete_multipartite, bitset_members
+    from .graph import ColoredGraph, complete_multipartite
     from .copies import residual_family, janson_moments, count_copies
     from .patterns import PatternProfile
 
@@ -220,8 +220,7 @@ def mu_delta_lemma_check(which, h, q, s, n, p, profile=None):
         return report
     variant = "low" if which == "FQL" else "high"
     fam, _ = residual_family(h, q, n, variant)
-    ext = set(bitset_members(s.ext_mask()))
-    restricted = fam.induce(ext)
+    restricted = fam.induce(s.ext_mask())
     mom_restricted = janson_moments(restricted.family, p, exact=True)
     mom_full = janson_moments(fam.family, p, exact=True)
     mu = mom_restricted["mu"]

@@ -257,15 +257,24 @@ def verify_lemma(lemma, pattern="triangle", n=12, p=0.6, delta=0.4,
         r = profile.r
         if sizes is None:
             sizes = [max(profile.v + 1, n // r)] * r
-        q = Graph(sum(sizes), [(0, 1)])
+        total = sum(sizes)
+        if lemma == "fql":
+            q = Graph(total, [(0, 1)])
+        else:
+            # one star: centre 0 (colour 1) joined to vertex k - 1 (colour k)
+            star = Graph(total, [(0, k - 1) for k in range(2, r + 1)])
+            q = ColoredGraph(star, [*range(1, r + 1)] + [0] * (total - r),
+                             centres=[0])
         s = PartTuple.from_assignment(
             [k for k, sz in enumerate(sizes) for _ in range(sz)])
         which = "FQL" if lemma == "fql" else "high"
-        rep = bounds.mu_delta_lemma_check(which, h, q, s, sum(sizes), p,
+        rep = bounds.mu_delta_lemma_check(which, h, q, s, total, p,
                                           profile=profile)
         rep.update({"lemma": lemma, "pattern": pattern})
         return rep
     if lemma == "pif-balanced":
+        if trials < 1:
+            raise ConfigError("trials must be at least 1")
         r = h.chromatic_number() - 1
         balanced = 0
         details = []

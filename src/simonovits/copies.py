@@ -2,16 +2,17 @@
 
 A "copy" of a pattern graph h inside a host is a subgraph isomorphic to h,
 recorded as its set of edges.  Families of copies (or of their residuals
-after removing the edges of a fixed structure Q) are handled as hypergraphs
-whose ground elements are edge indices of K_n; abstract hypergraphs over any
-integer ground set go through the same helpers.
+after removing the edges of a fixed structure Q) are hypergraphs over the
+edges of K_n, each member an int bitmask under graph.edge_index, the form
+graphs and cuts use for their edge sets; the helpers take any family of
+bitmasks.
 """
 
 import itertools
 from collections import Counter
 from fractions import Fraction
 
-from .graph import Graph, edge_index, bitset_members
+from .graph import Graph, bitset_members, pair_mask
 
 EMBED_CAP = 2_000_000       # embeddings the "high" residual family may visit
 PROFILE_LIMIT = 200000      # subset enumerations for a Janson degree profile
@@ -140,75 +141,61 @@ def are_isomorphic(g1, g2):
 # -- copy hypergraphs ----------------------------------------------------
 
 def copies_as_hypergraph(h, host):
-    """Copies of h in host as a family over K_n edge indices."""
+    """Copies of h in host as a family of K_n edge bitmasks."""
     n = host.n
-    fam = [frozenset(edge_index(n, u, v) for (u, v) in copy)
-           for copy in enumerate_copies(h, host)]
-    return CopyHypergraph(n, fam)
+    return CopyHypergraph(n, [pair_mask(n, copy)
+                              for copy in enumerate_copies(h, host)])
 
 
 class CopyHypergraph:
-    """Set family over the edge indices of K_n."""
+    """Family of distinct edge bitmasks of K_n, ordered by their sorted
+    member lists."""
 
     __slots__ = ("n", "family")
 
     def __init__(self, n, family):
         self.n = n
-        self.family = sorted(set(frozenset(a) for a in family),
-                             key=lambda a: tuple(sorted(a)))
+        self.family = sorted(set(family), key=bitset_members)
 
     def __len__(self):
         return len(self.family)
-
-    def edge_sets(self):
-        """Each member as a frozenset of (u, v) pairs."""
-        from .graph import edge_from_index
-        return [frozenset(edge_from_index(self.n, i) for i in a)
-                for a in self.family]
 
     def induce(self, ground):
         return CopyHypergraph(self.n, induce(self.family, ground))
 
     def induce_graph(self, g):
-        mask = g.edge_mask()
-        keep = set(bitset_members(mask))
-        return self.induce(keep)
+        return self.induce(g.edge_mask())
 
     def matching_number(self):
         return matching_number(self.family)
 
 
 # -- generic set-family operations ---------------------------------------
+# Members are int bitmasks; an element is a bit position.
 
 def induce(family, ground):
-    ground = set(ground)
-    return [a for a in family if a <= ground]
+    """Members inside the ground bitmask."""
+    return [a for a in family if not a & ~ground]
 
 
 def link(family, element):
     """Sets A - {element} for members A containing the element, deduped."""
-    out = {a - {element} for a in family if element in a}
-    out.discard(frozenset())
-    return sorted(out, key=lambda a: tuple(sorted(a)))
+    bit = 1 << element
+    out = {a ^ bit for a in family if a & bit}
+    out.discard(0)
+    return sorted(out, key=bitset_members)
 
 
 def boundary(family):
     """All sets obtainable by dropping one element from a member, deduped."""
-    out = set()
-    for a in family:
-        for x in a:
-            b = a - {x}
-            if b:
-                out.add(b)
-    return sorted(out, key=lambda a: tuple(sorted(a)))
+    out = {a & ~(1 << x) for a in family for x in bitset_members(a)}
+    out.discard(0)
+    return sorted(out, key=bitset_members)
 
 
 def matching_number(family):
     """Largest number of pairwise disjoint members (exact branch and bound)."""
-    fam = sorted(set(frozenset(a) for a in family), key=len)
-    elems = sorted(set().union(*fam)) if fam else []
-    pos = {e: i for i, e in enumerate(elems)}
-    masks = [sum(1 << pos[e] for e in a) for a in fam]
+    masks = sorted(set(family), key=int.bit_count)
     best = [0]
 
     def rec(i, used, size):
@@ -223,6 +210,15 @@ def matching_number(family):
 
     rec(0, 0, 0)
     return best[0]
+
+
+def subset_counts(members, j):
+    """How many members contain each j-subset; members are sorted element
+    sequences and the keys sorted tuples."""
+    cnt = Counter()
+    for a in members:
+        cnt.update(itertools.combinations(a, j))
+    return cnt
 
 
 # -- residual families ---------------------------------------------------
@@ -254,42 +250,44 @@ def residual_family(h, q, n, variant="low"):
                     into v's colour classes following a fixed proper
                     colouring, and all other vertices outside the centres.
 
-    Returns (CopyHypergraph of residuals, {residual: [copy edge sets]}).
+    Returns (CopyHypergraph of residuals, {residual: [copy bitmasks]}).
     """
     from .graph import ColoredGraph
     qg = q.graph if isinstance(q, ColoredGraph) else q
     if qg.n != n:
         raise ValueError("structure has wrong vertex count")
-    q_edges = frozenset(tuple(sorted(e)) for e in qg.edges())
-    q_idx = frozenset(edge_index(n, u, v) for (u, v) in q_edges)
+    q_edges = qg.edges()
+    q_mask = qg.edge_mask()
     host = Graph(n, list(itertools.combinations(range(n), 2)))
+    h_edges = h.edges()
     completions = {}
 
-    def record(copy_pairs):
-        idx = frozenset(edge_index(n, u, v) for (u, v) in copy_pairs)
-        resid = idx - q_idx
+    def copy_of(img):
+        return pair_mask(n, ((img[u], img[v]) for (u, v) in h_edges))
+
+    def record(copy):
+        resid = copy & ~q_mask
         if resid:
-            completions.setdefault(resid, []).append(copy_pairs)
+            completions.setdefault(resid, []).append(copy)
 
     if variant in ("all", "low"):
-        h_edges = h.edges()
-        found = set()
+        found = {}              # copy -> bitmask of its vertices
         for (a, b) in q_edges:
             for (x, y) in h_edges:
                 for fixed in ({x: [a], y: [b]}, {x: [b], y: [a]}):
                     for img in embeddings(h, host, fixed):
-                        found.add(frozenset(tuple(sorted((img[u], img[v])))
-                                            for (u, v) in h_edges))
-        for copy in sorted(found, key=sorted):
-            shared = copy & q_edges
+                        found[copy_of(img)] = sum(
+                            1 << img[u] for u in range(h.n) if h.adj[u])
+        for copy in sorted(found, key=bitset_members):
+            shared = (copy & q_mask).bit_count()
             if variant == "all":
                 if shared:
                     record(copy)
                 continue
-            if len(shared) != 1:
+            if shared != 1:
                 continue
-            vs = set(itertools.chain.from_iterable(copy))
-            spanned = sum(1 for (u, v) in q_edges if u in vs and v in vs)
+            vs = found[copy]
+            spanned = sum(1 for (u, v) in q_edges if vs >> u & vs >> v & 1)
             if spanned == 1:
                 record(copy)
     elif variant == "high":
@@ -320,8 +318,7 @@ def residual_family(h, q, n, variant="low"):
                 count += 1
                 if count > EMBED_CAP:
                     raise OverflowError("embedding cap exceeded")
-                record(frozenset(tuple(sorted((img[a], img[b])))
-                                 for (a, b) in h.edges()))
+                record(copy_of(img))
     else:
         raise ValueError("unknown variant %r" % variant)
 
@@ -337,30 +334,27 @@ def janson_moments(family, p, exact=False):
     profile: for each j, the largest number of members containing a common
     j-subset (skipped past PROFILE_LIMIT subset enumerations).
     """
-    fam = sorted(set(frozenset(a) for a in family), key=lambda a: tuple(sorted(a)))
+    fam = sorted(set(family), key=bitset_members)
+    elems = [bitset_members(a) for a in fam]
     num = Fraction if exact else float
     pv = num(p)
-    mu = sum(pv ** len(a) for a in fam)
+    mu = sum(pv ** a.bit_count() for a in fam)
     # group members by shared element to find intersecting pairs
     by_elem = {}
-    for idx, a in enumerate(fam):
+    for idx, a in enumerate(elems):
         for x in a:
             by_elem.setdefault(x, []).append(idx)
     pairs = set()
     for idxs in by_elem.values():
         for i, j in itertools.combinations(idxs, 2):
             pairs.add((i, j))
-    delta = sum(pv ** len(fam[i] | fam[j]) for (i, j) in pairs)
+    delta = sum(pv ** (fam[i] | fam[j]).bit_count() for (i, j) in pairs)
     profile = {}
-    max_size = max((len(a) for a in fam), default=0)
+    max_size = max((len(a) for a in elems), default=0)
     work = 0
     for j in range(1, max_size + 1):
-        cnt = Counter()
-        for a in fam:
-            work += 1
-            for t in itertools.combinations(sorted(a), j):
-                cnt[t] += 1
-                work += 1
+        cnt = subset_counts(elems, j)
+        work += len(elems) + sum(cnt.values())
         if work > PROFILE_LIMIT:
             break
         profile[j] = max(cnt.values(), default=0)

@@ -17,6 +17,14 @@ def edge_index(n, u, v):
     return u * n - u * (u + 1) // 2 + (v - u - 1)
 
 
+def pair_mask(n, pairs):
+    """Bitmask of the pairs {u, v} of [n] under the K_n edge indexing."""
+    m = 0
+    for (u, v) in pairs:
+        m |= 1 << edge_index(n, u, v)
+    return m
+
+
 def edge_from_index(n, idx):
     """Inverse of edge_index."""
     u = 0
@@ -103,10 +111,7 @@ class Graph:
 
     def edge_mask(self):
         """All edges as a bitmask under the K_n edge indexing."""
-        m = 0
-        for (u, v) in self.edges():
-            m |= 1 << edge_index(self.n, u, v)
-        return m
+        return pair_mask(self.n, self.edges())
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -439,20 +444,14 @@ class PartTuple:
 
     def ext_mask(self):
         """Bitmask of crossing pairs of K_n (pairs spanning two distinct parts)."""
-        m = 0
-        for (pa, pb) in itertools.combinations(self.parts, 2):
-            for u in pa:
-                for v in pb:
-                    m |= 1 << edge_index(self.n, u, v)
-        return m
+        return pair_mask(self.n, ((u, v) for (pa, pb) in
+                                  itertools.combinations(self.parts, 2)
+                                  for u in pa for v in pb))
 
     def int_mask(self):
         """Bitmask of internal pairs of K_n (both ends in one part)."""
-        m = 0
-        for p in self.parts:
-            for (u, v) in itertools.combinations(sorted(p), 2):
-                m |= 1 << edge_index(self.n, u, v)
-        return m
+        return pair_mask(self.n, (e for p in self.parts
+                                  for e in itertools.combinations(p, 2)))
 
     def canonical(self):
         """Unordered canonical form: parts sorted by their sorted member lists."""

@@ -73,16 +73,28 @@ def pi_coefficient(h):
     if r < 2:
         raise ValueError("pattern must have chromatic number at least 3")
     aut = automorphism_count(h)
-    edges = h.edges()
-    count = 0
-    for (a, b) in edges:
-        rest = [u for u in range(h.n) if u != a and u != b]
-        others = [e for e in edges if e != (a, b)]
-        c = [0] * h.n
-        for colours in itertools.product(range(r), repeat=len(rest)):
-            for u, k in zip(rest, colours):
+    c = [None] * h.n
+
+    def colourings(rest):
+        """Ways to colour the vertices of rest one at a time, each avoiding
+        the colours of its coloured neighbours."""
+        if not rest:
+            return 1
+        u = rest[0]
+        used = {c[w] for w in h.neighbours(u)}
+        total = 0
+        for k in range(r):
+            if k not in used:
                 c[u] = k
-            count += all(c[u] != c[v] for (u, v) in others)
+                total += colourings(rest[1:])
+        c[u] = None
+        return total
+
+    count = 0
+    for (a, b) in h.edges():
+        c[a] = c[b] = 0
+        count += colourings([u for u in range(h.n) if u != a and u != b])
+        c[a] = c[b] = None
     return Fraction(2 * count, aut)
 
 

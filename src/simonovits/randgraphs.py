@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import random
 
-from .graph import Graph, edge_index, bitset_members, all_pairs
+from .graph import Graph, all_pairs, pair_mask
 from .copies import copies_as_hypergraph, link, boundary, induce
 
 ALGORITHM_ID = "mt19937-py"
@@ -78,21 +78,18 @@ def typicality_report(g, h, p, part_families=(), qh_instances=(), pair_list=(),
 
     # T3
     hyper = copies_as_hypergraph(h, Graph(n, list(all_pairs(n))))
-    g_ground = set(bitset_members(g.edge_mask()))
+    ground = g.edge_mask()
     edge_cap = 4 * e_h * e_h * n ** (v_h - 2) * p ** (e_h - 2)
     vert_cap = 2 * v_h * e_h * n ** (v_h - 1) * p ** (e_h - 1)
     worst_edge = 0
-    for (u, v) in all_pairs(n):
-        idx = edge_index(n, u, v)
+    for idx in range(n * (n - 1) // 2):
         lk = boundary(link(hyper.family, idx))
-        worst_edge = max(worst_edge, len(induce(lk, g_ground)))
+        worst_edge = max(worst_edge, len(induce(lk, ground)))
     worst_vert = 0
-    pair_sets = hyper.edge_sets()
     for v in range(n):
-        at_v = [a for a, pairs in zip(hyper.family, pair_sets)
-                if any(v in pr for pr in pairs)]
-        lk = boundary(at_v)
-        worst_vert = max(worst_vert, len(induce(lk, g_ground)))
+        star = pair_mask(n, ((v, w) for w in range(n) if w != v))
+        lk = boundary([a for a in hyper.family if a & star])
+        worst_vert = max(worst_vert, len(induce(lk, ground)))
     rep["T3"] = {"max_edge_link": worst_edge, "edge_cap": edge_cap,
                  "edge_holds": worst_edge <= edge_cap,
                  "max_vertex_link": worst_vert, "vertex_cap": vert_cap,

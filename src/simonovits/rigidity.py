@@ -13,7 +13,7 @@ import bisect
 import math
 import random
 
-from .graph import Graph, PartTuple, ColoredGraph, edge_index, \
+from .graph import Graph, PartTuple, ColoredGraph, pair_mask, \
     bitset_members, assignment_chunks
 from .bounds import PAPER_DEFAULTS
 
@@ -287,10 +287,11 @@ def _switch_branch(fam, q, q_mask, ext_cut, g_mask, f_mask, resid_masks,
                 eligible_parts.append(part)
         if eligible_parts:
             target = set().union(*eligible_parts)
-            pairs = {edge_index(n, u, w) for u in vk for w in target if u != w}
+            pairs = pair_mask(n, ((u, w) for u in vk for w in target
+                                  if u != w))
             # crossing pairs of the cut that are in neither G nor F
             addable = ext_cut & ~union
-            return "d", sorted(e for e in pairs if addable >> e & 1), b
+            return "d", bitset_members(pairs & addable), b
     return "stuck", None, b
 
 
@@ -300,8 +301,7 @@ def _switch_inputs(q, cut, fam, fam_resid):
     if isinstance(q, Graph):
         q = ColoredGraph(q, [1 if q.degree(v) else 0 for v in range(q.n)])
     fam.index_of(cut)                   # refuses a cut outside the family
-    return (q, q.graph.edge_mask(), cut.ext_mask(),
-            [sum(1 << i for i in a) for a in fam_resid.family])
+    return q, q.graph.edge_mask(), cut.ext_mask(), fam_resid.family
 
 
 def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0,

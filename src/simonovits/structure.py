@@ -7,8 +7,9 @@ import itertools
 import math
 import random
 
-from .graph import Graph, ColoredGraph, edge_index, bitset_members
-from .copies import CopyHypergraph, residual_family, janson_moments
+from .graph import Graph, ColoredGraph, pair_mask
+from .copies import (CopyHypergraph, residual_family, janson_moments,
+                     subset_counts)
 from .bounds import PAPER_DEFAULTS, upper_tail_rho
 
 
@@ -369,16 +370,10 @@ class VertexHypergraph:
 
     def degree_profile(self):
         """Delta_j: max members containing a common j-subset."""
-        from collections import Counter
-        out = {}
-        ell = max((len(u) for u in self.edges), default=0)
-        for j in range(1, ell + 1):
-            cnt = Counter()
-            for u in self.edges:
-                for t in itertools.combinations(sorted(u), j):
-                    cnt[t] += 1
-            out[j] = max(cnt.values(), default=0)
-        return out
+        members = [sorted(u) for u in self.edges]
+        ell = max(map(len, members), default=0)
+        return {j: max(subset_counts(members, j).values(), default=0)
+                for j in range(1, ell + 1)}
 
 
 def neighbourhood_hypergraph(g, qfam, l_vector, constants=PAPER_DEFAULTS,
@@ -428,14 +423,11 @@ def neighbourhood_hypergraph(g, qfam, l_vector, constants=PAPER_DEFAULTS,
         return False
 
     def refresh_saturation():
-        from collections import Counter
         e_ghat = len(ghat)
+        members = [sorted(u) for u in ghat]
         for j in range(1, ell):
             thr = max(2 * np_ ** (ell - j), D * e_ghat / n ** j)
-            cnt = Counter()
-            for u in ghat:
-                for t in itertools.combinations(sorted(u), j):
-                    cnt[t] += 1
+            cnt = subset_counts(members, j)
             saturated[j] = {t for t, c in cnt.items() if c >= thr}
 
     processed = []
@@ -498,14 +490,13 @@ def build_high_family(qfam, h, g_hyper):
     """Residuals omega with omega + star(centre, U) forming a pattern copy,
     over the hyperedges U of g_hyper.  Returns (CopyHypergraph, flagged)."""
     from .copies import critical_edge_and_anchor, embeddings
-    from .graph import Graph as G
     q = qfam.q
     n = q.graph.n
-    q_idx = frozenset(edge_index(n, u, v) for (u, v) in q.graph.edges())
+    q_mask = q.graph.edge_mask()
     if len(g_hyper) == 0:
         return CopyHypergraph(n, []), True
     f, anchor = critical_edge_and_anchor(h)
-    host = G(n, list(itertools.combinations(range(n), 2)))
+    host = Graph(n, list(itertools.combinations(range(n), 2)))
     outside = [v for v in range(n) if v not in q.centres]
     # star edges carry the anchor's neighbours minus the critical partner
     nbrs = sorted(h.without_edge(*f).neighbours(anchor))
@@ -520,15 +511,14 @@ def build_high_family(qfam, h, g_hyper):
             fixed[w] = sorted(u_set)
         for w in rest:
             fixed[w] = outside
-        star = frozenset(edge_index(n, *sorted((v_u, x))) for x in u_set)
+        star = pair_mask(n, ((v_u, x) for x in u_set))
         for img in embeddings(h, host, fixed):
             # the full star must be consumed: nbrs cover u_set exactly
             if {img[w] for w in nbrs} != set(u_set):
                 continue
-            copy = frozenset(edge_index(n, *sorted((img[a], img[b])))
-                             for (a, b) in h.edges())
-            omega = copy - star
-            if omega & q_idx:
+            copy = pair_mask(n, ((img[a], img[b]) for (a, b) in h.edges()))
+            omega = copy & ~star
+            if omega & q_mask:
                 continue
             out.add(omega)
     return CopyHypergraph(n, out), False
@@ -559,11 +549,7 @@ def sparsify_families(copies, q_prob, N, seed, check=None):
     s_list = check["s_list"]
     n = copies.n
     fam_full, completions = residual_family(h, q, n, "low")
-    comp_idx = {}
-    for resid, copies_of in completions.items():
-        comp_idx[resid] = [frozenset(edge_index(n, u, v) for (u, v) in c)
-                           for c in copies_of]
-    ext_masks = [set(bitset_members(s.ext_mask())) for s in s_list]
+    ext_masks = [s.ext_mask() for s in s_list]
     base_mu = [janson_moments(fam_full.induce(e).family, p)["mu"]
                for e in ext_masks]
     base_delta = janson_moments(fam_full.family, p)["delta"]
@@ -572,7 +558,7 @@ def sparsify_families(copies, q_prob, N, seed, check=None):
     out = []
     for i, sample in enumerate(samples):
         sset = set(sample)
-        sub = [resid for resid, comps in comp_idx.items()
+        sub = [resid for resid, comps in completions.items()
                if any(c in sset for c in comps)]
         sub_h = CopyHypergraph(n, sub)
         out.append(sub_h)

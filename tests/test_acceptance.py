@@ -12,7 +12,7 @@ import numpy as np
 
 from simonovits.graph import (Graph, ColoredGraph, complete_graph,
                               cycle_graph, named_graph, disjoint_union,
-                              blowup_plus, all_pairs)
+                              blowup_plus, all_pairs, bitset_members)
 from simonovits.patterns import PatternProfile, dense_min_degree_bound
 from simonovits.copies import (enumerate_copies, count_copies,
                                janson_moments, residual_family)
@@ -162,8 +162,8 @@ def _random_hypergraph(rng):
     fam = set()
     while len(fam) < m:
         k = rng.randint(2, 4)
-        fam.add(frozenset(rng.sample(range(ground), k)))
-    return ground, sorted(fam, key=sorted)
+        fam.add(sum(1 << x for x in rng.sample(range(ground), k)))
+    return ground, sorted(fam, key=bitset_members)
 
 
 def _subset_tables(fam):
@@ -198,7 +198,8 @@ def test_janson_suite(capsys):
         for hg in range(200):
             ground, fam = _random_hypergraph(rng)
             nu_tab, pair_tab = _subset_tables(fam)
-            member = np.array([[e in a for e in range(ground)] for a in fam])
+            member = np.array([[bool(a >> e & 1) for e in range(ground)]
+                               for a in fam])
             nprng = np.random.default_rng(999 + hg)
             for p in (0.3, 0.5, 0.7):
                 cells += 1

@@ -105,6 +105,23 @@ def test_verify_lemma_dispatch(tmp_path):
     assert run(["verify-lemma", "--lemma", "nonsense"]) == 2
 
 
+def test_verify_lemma_high_builds_a_star_union(tmp_path):
+    # the structure is one star: centre 0 joined to vertices 1..r-1
+    for pattern, restricted in (("triangle", 6), ("c5", 120), ("k4", 0)):
+        out = tmp_path / (pattern + ".json")
+        assert run(["verify-lemma", "--lemma", "high", "--pattern", pattern,
+                    "--json-out", str(out)]) == 0
+        d = json.loads(out.read_text())
+        assert (d["applicable"], d["k_Q"], d["restricted_size"]) \
+            == (True, 1, restricted)
+
+
+def test_verify_lemma_pif_balanced_refuses_zero_trials(capsys):
+    assert run(["verify-lemma", "--lemma", "pif-balanced",
+                "--trials", "0"]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+
+
 def test_verify_lemma_pif_balanced(tmp_path):
     out = tmp_path / "pif.json"
     assert run(["verify-lemma", "--lemma", "pif-balanced", "--n", "10",

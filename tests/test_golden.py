@@ -37,6 +37,7 @@ CASES = [
     ("switching-n12.json", ["simulate-switching", "--n", "12", "--p", "0.5",
                             "--runs", "4", "--seed", "3"], 0),
     ("lemma-fql.json", ["verify-lemma", "--lemma", "fql"], 0),
+    ("lemma-high.json", ["verify-lemma", "--lemma", "high"], 0),
     ("lemma-balanced.json", ["verify-lemma", "--lemma", "balanced"], 0),
 ]
 

@@ -1,6 +1,7 @@
 """Every name a module imports is read somewhere in the scope that imports
 it: the module for a top-level import, the function for one inside a
-function."""
+function.  numpy and scipy are imported only inside functions, so loading
+the package stays cheap for the commands that never reach them."""
 
 import ast
 import pathlib
@@ -38,9 +39,41 @@ def _unused_imports(source):
     return unused
 
 
+HEAVY = ("numpy", "scipy")
+
+
+def _load_time_heavy_imports(source):
+    """(line, module) of each numpy or scipy import run when the module is
+    loaded: anywhere outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            found.extend((child.lineno, name) for name in names
+                         if name.split(".")[0] in HEAVY)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_load_time_numpy_or_scipy(path):
+    assert _load_time_heavy_imports(path.read_text()) == []
 
 
 def test_checker_sees_module_and_function_imports():
@@ -48,3 +81,12 @@ def test_checker_sees_module_and_function_imports():
               "def f():\n    from y import d, e\n    return e, c\n"
               "def g():\n    return d, os\n")
     assert _unused_imports(source) == [(1, "math"), (3, "a"), (5, "d")]
+
+
+def test_heavy_import_checker_skips_function_bodies():
+    source = ("import numpy as np\nfrom scipy.optimize import milp\n"
+              "import numbers\nclass A:\n    import scipy\n"
+              "try:\n    import numpy.linalg\nexcept ImportError:\n    pass\n"
+              "def f():\n    import numpy\n    return numpy\n")
+    assert _load_time_heavy_imports(source) == [
+        (1, "numpy"), (2, "scipy.optimize"), (5, "scipy"), (7, "numpy.linalg")]

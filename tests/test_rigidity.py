@@ -377,14 +377,13 @@ def test_switch_branch_scores_each_state_once(monkeypatch):
 
     monkeypatch.setattr(CutFamily, "values", counted)
     n = tr.n
-    resid_masks = [sum(1 << i for i in a) for a in fam_resid.family]
     gamma_n2p = tr.params["gamma"] * n * n * p
     types = []
     for g_mask, f_mask in zip(tr.g_masks, tr.f_masks):
         calls.clear()
         typ, _, b = rigidity._switch_branch(
             fam, q, q.graph.edge_mask(), cut.ext_mask(), g_mask, f_mask,
-            resid_masks, 2, gamma_n2p, tr.params["alpha"])
+            fam_resid.family, 2, gamma_n2p, tr.params["alpha"])
         assert calls == [g_mask | f_mask]
         assert b == values(fam, g_mask | f_mask).max()
         types.append(typ)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from simonovits.graph import (Graph, ColoredGraph, PartTuple,
-                              complete_graph, named_graph, edge_index)
+                              complete_graph, named_graph)
 from simonovits.randgraphs import RngStream, sample_gnp
 from simonovits.solvers import local_max_cut
 from simonovits.copies import copies_as_hypergraph, residual_family, \
@@ -167,21 +167,19 @@ def test_build_high_family_star_consumed():
     hyp = neighbourhood_hypergraph(g, qf, [0, 1], p=0.5)
     fam, flagged = build_high_family(qf, K3, hyp)
     assert not flagged or len(hyp) == 0
-    n = g.n
-    q_idx = {edge_index(n, u, v) for (u, v) in qf.q.graph.edges()}
+    q_mask = qf.q.graph.edge_mask()
     for omega in fam.family:
         # residuals avoid the structure edges entirely
-        assert not (set(omega) & q_idx)
+        assert not omega & q_mask
         # a triangle anchored on a single star edge leaves two free edges
-        assert len(omega) == 2
+        assert omega.bit_count() == 2
 
 
 def test_sparsify_families_report():
     n = 10
     q = Graph(n, [(0, 1)])
     fam_low, comps = residual_family(K3, q, n, "low")
-    full = CopyHypergraph(n, [frozenset(edge_index(n, u, v) for (u, v) in c)
-                              for cl in comps.values() for c in cl])
+    full = CopyHypergraph(n, [c for cl in comps.values() for c in cl])
     s = PartTuple.from_assignment([i % 2 for i in range(n)])
     subs, rep = sparsify_families(full, 0.5, 8, seed=3,
                                   check={"h": K3, "q": q, "p": 0.3,
