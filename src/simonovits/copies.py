@@ -104,12 +104,26 @@ def enumerate_copies(h, host):
     """All subgraphs of host isomorphic to h, each as a frozenset of
     (u, v) edge pairs with u < v, in the iteration order of the deduping
     set: fixed for a CPython build, and followed by the optimum listing's
-    branching and the first non-r-partite certificate."""
+    branching and the first non-r-partite certificate.
+
+    Each embedding is keyed by a symmetric mask over host vertex pairs,
+    and the frozenset is built only for a new key.  A set's order depends
+    only on which distinct elements went in and in what order, so skipping
+    the embeddings of a copy already seen leaves it unchanged."""
     edges = h.edges()
+    n = host.n
+    pair = [1 << (a * n + b) | 1 << (b * n + a)
+            for a in range(n) for b in range(n)]
+    keys = set()
     seen = set()
     for img in embeddings(h, host):
-        es = frozenset(tuple(sorted((img[u], img[v]))) for (u, v) in edges)
-        seen.add(es)
+        key = 0
+        for (u, v) in edges:
+            key |= pair[img[u] * n + img[v]]
+        if key not in keys:
+            keys.add(key)
+            seen.add(frozenset(tuple(sorted((img[u], img[v])))
+                               for (u, v) in edges))
     return list(seen)
 
 
@@ -194,8 +208,16 @@ def boundary(family):
 
 
 def matching_number(family):
-    """Largest number of pairwise disjoint members (exact branch and bound)."""
+    """Largest number of pairwise disjoint members (exact branch and bound).
+
+    Members go by size, so each one taken from i on uses at least
+    |masks[i]| elements that no taken member uses.  A node is cut off when
+    the members left, or the unused elements over |masks[i]|, cannot take
+    it past the best."""
     masks = sorted(set(family), key=int.bit_count)
+    width = 0
+    for a in masks:
+        width |= a
     best = [0]
 
     def rec(i, used, size):
@@ -203,6 +225,9 @@ def matching_number(family):
             return
         if i == len(masks):
             best[0] = max(best[0], size)
+            return
+        k = masks[i].bit_count()
+        if k and size + (width & ~used).bit_count() // k <= best[0]:
             return
         if masks[i] & used == 0:
             rec(i + 1, used | masks[i], size + 1)
@@ -348,7 +373,10 @@ def janson_moments(family, p, exact=False):
     for idxs in by_elem.values():
         for i, j in itertools.combinations(idxs, 2):
             pairs.add((i, j))
-    delta = sum(pv ** (fam[i] | fam[j]).bit_count() for (i, j) in pairs)
+    # pairs counted per union size and added smallest size first, so a
+    # float Delta does not depend on the set's layout
+    unions = Counter((fam[i] | fam[j]).bit_count() for (i, j) in pairs)
+    delta = sum(c * pv ** k for k, c in sorted(unions.items()))
     profile = {}
     max_size = max((len(a) for a in elems), default=0)
     work = 0

@@ -18,6 +18,7 @@ from simonovits.copies import (embeddings, count_embeddings,
                                link, boundary, matching_number,
                                critical_edge_and_anchor, residual_family,
                                janson_moments, subset_counts, PROFILE_LIMIT)
+from simonovits.randgraphs import RngStream, sample_gnp
 
 K3 = named_graph("triangle")
 
@@ -181,6 +182,28 @@ def test_family_helpers_match_frozenset_forms(seed):
     assert repr(got) == repr(want)
 
 
+def test_matching_number_of_c5_low_residuals_in_k8():
+    # 6 is _ref_matching_number's answer, which takes over a second here
+    fam, _ = residual_family(cycle_graph(5), Graph(8, [(0, 1)]), 8, "low")
+    assert len(fam) == 120
+    assert matching_number(fam.family) == 6
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_janson_float_delta_ignores_element_labels(seed):
+    # 20-80 sets of sizes 1-5 over 5-40 elements, so that many pairs meet
+    rng = random.Random(seed)
+    ground = rng.randint(5, 40)
+    fam = [rng.sample(range(ground), rng.randint(1, 5))
+           for _ in range(rng.randint(20, 80))]
+    perm = list(range(ground))
+    rng.shuffle(perm)
+    relabelled = [_mask(perm[x] for x in a) for a in fam]
+    for p in (0.3, 0.77):
+        assert (repr(janson_moments([_mask(a) for a in fam], p)["delta"])
+                == repr(janson_moments(relabelled, p)["delta"]))
+
+
 def test_subset_counts():
     cnt = subset_counts([[1, 2, 3], [2, 3], [3]], 2)
     assert cnt == Counter({(1, 2): 1, (1, 3): 1, (2, 3): 2})
@@ -314,3 +337,29 @@ def test_hypergraph_induce_graph():
     hyp = copies_as_hypergraph(K3, host)
     sub = hyp.induce_graph(complete_graph(5).without_edge(0, 1))
     assert len(sub) == math.comb(5, 3) - 3
+
+
+def _reference_enumerate_copies(h, host):
+    """enumerate_copies before it keyed embeddings by mask: a frozenset
+    built and added for every embedding."""
+    edges = h.edges()
+    seen = set()
+    for img in embeddings(h, host):
+        es = frozenset(tuple(sorted((img[u], img[v]))) for (u, v) in edges)
+        seen.add(es)
+    return list(seen)
+
+
+COPY_PATTERNS = dict(RESIDUAL_PATTERNS, c4=cycle_graph(4))
+
+
+# the optimum listing branches, and certifies, in this order
+@pytest.mark.parametrize("pattern", sorted(COPY_PATTERNS))
+def test_enumerate_copies_matches_per_embedding_frozensets(pattern):
+    h = COPY_PATTERNS[pattern]
+    for n in range(4, 11):
+        hosts = [sample_gnp(n, p, RngStream(n * 10 + t, 0))
+                 for t, p in enumerate((0.35, 0.6, 0.85))]
+        for g in hosts + [complete_graph(n), Graph(n)]:
+            assert (enumerate_copies(h, g)
+                    == _reference_enumerate_copies(h, g)), g.edges()

@@ -355,6 +355,24 @@ def test_packing_bound_prunes_k8_c5_within_5000_nodes(monkeypatch):
     assert (v.decision, v.ex_size, v.optima_count) == ("yes", 16, 35)
 
 
+# (n, pattern, tau = e(K_n) - t_r(n), nodes): the search tree's size pins
+# its branching and bound, so a change that keeps the leaves but walks
+# another tree shows here
+SEARCH_TREES = [(8, "c5", 12, 4686), (9, "triangle", 16, 5250),
+                (8, "k4", 7, 4502)]
+
+
+@pytest.mark.parametrize("n,pattern,tau,nodes", SEARCH_TREES)
+def test_transversal_search_tree_size_on_complete_hosts(
+        monkeypatch, n, pattern, tau, nodes):
+    _, masks = solvers._copy_masks(complete_graph(n), named_graph(pattern))
+    monkeypatch.setattr(solvers, "NODE_CAP", nodes)
+    assert solvers._transversal_search(masks, tau)
+    monkeypatch.setattr(solvers, "NODE_CAP", nodes - 1)
+    with pytest.raises(EnumerationCapError):
+        solvers._transversal_search(masks, tau)
+
+
 def test_enumeration_cap_gives_indeterminate(monkeypatch):
     # K8 has 35 largest triangle-free subgraphs, one per balanced bipartition
     monkeypatch.setattr(solvers, "SOL_CAP", 20)
