@@ -15,14 +15,14 @@ import sys
 import tempfile
 import time
 
-from .graph import (Graph, ColoredGraph, PartTuple, graph_from_spec,
-                    is_delta_balanced)
+from .graph import (Graph, ColoredGraph, PartTuple, TooLargeError,
+                    graph_from_spec, is_delta_balanced)
 from .patterns import PatternProfile
-from .solvers import is_simonovits, max_H_free, canonical_cut, TooLargeError
+from .solvers import is_simonovits, max_H_free, canonical_cut
 from .randgraphs import RngStream, sample_gnp
 from . import bounds
 from .copies import residual_family
-from .rigidity import CutFamily, GuardExceeded, run_switching, validate_trace
+from .rigidity import CutFamily, run_switching, validate_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -438,7 +438,7 @@ def main(argv=None):
     except (KeyError, ValueError) as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return EXIT_CONFIG
-    except (TooLargeError, GuardExceeded) as exc:
+    except TooLargeError as exc:
         sys.stderr.write("guard refusal: %s\n" % exc)
         return EXIT_GUARD
 

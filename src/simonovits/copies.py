@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from .graph import Graph, bitset_members, pair_mask
+from .graph import Graph, TooLargeError, bitset_members, pair_mask
 
 EMBED_CAP = 2_000_000       # embeddings the "high" residual family may visit
 PROFILE_LIMIT = 200000      # subset enumerations for a Janson degree profile
@@ -273,7 +273,8 @@ def residual_family(h, q, n, variant="low"):
     variant "high": q must be a ColoredGraph with centres; copies place the
                     anchor of a critical edge on a centre v, its neighbours
                     into v's colour classes following a fixed proper
-                    colouring, and all other vertices outside the centres.
+                    colouring, and all other vertices outside the centres;
+                    raises TooLargeError past EMBED_CAP embeddings.
 
     Returns (CopyHypergraph of residuals, {residual: [copy bitmasks]}).
     """
@@ -342,7 +343,7 @@ def residual_family(h, q, n, variant="low"):
             for img in embeddings(h, host, fixed):
                 count += 1
                 if count > EMBED_CAP:
-                    raise OverflowError("embedding cap exceeded")
+                    raise TooLargeError("embedding cap exceeded")
                 record(copy_of(img))
     else:
         raise ValueError("unknown variant %r" % variant)

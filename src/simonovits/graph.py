@@ -8,6 +8,10 @@ Several modules treat edge sets of K_n as bitmask integers under this indexing.
 import itertools
 
 
+class TooLargeError(Exception):
+    """A search or family passed its size budget; the CLI exits 5."""
+
+
 def edge_index(n, u, v):
     """Lexicographic index of the pair {u, v} among all pairs of [n]."""
     if u == v:
@@ -178,47 +182,10 @@ class Graph:
 
     # -- colouring --------------------------------------------------------
 
-    def greedy_colouring(self):
-        """Greedy colouring in degree order; returns a list of colours 0..k-1."""
-        order = sorted(range(self.n), key=lambda v: -self.degree(v))
-        colour = [-1] * self.n
-        for v in order:
-            used = {colour[w] for w in self.neighbours(v) if colour[w] >= 0}
-            c = 0
-            while c in used:
-                c += 1
-            colour[v] = c
-        return colour
-
-    def max_clique_greedy(self):
-        """Greedy clique, used as a chromatic lower bound."""
-        best = 0
-        for seed in range(self.n):
-            clique = 1 << seed
-            cand = self.adj[seed]
-            while cand:
-                pick = None
-                pick_deg = -1
-                c = cand
-                while c:
-                    b = c & -c
-                    c ^= b
-                    v = b.bit_length() - 1
-                    d = (self.adj[v] & cand).bit_count()
-                    if d > pick_deg:
-                        pick, pick_deg = v, d
-                clique |= 1 << pick
-                cand &= self.adj[pick]
-            best = max(best, clique.bit_count())
-        return best
-
     def chromatic_number(self):
-        if self.edge_count() == 0:
-            return 1 if self.n else 0
-        lb = self.max_clique_greedy()
-        ub = max(self.greedy_colouring()) + 1
-        k = lb
-        while k < ub and self.proper_colouring(k) is None:
+        """The least k for which proper_colouring(k) succeeds."""
+        k = 0
+        while self.proper_colouring(k) is None:
             k += 1
         return k
 
@@ -388,14 +355,15 @@ def named_graph(name):
 
 
 def graph_from_spec(text_or_name):
-    """Resolve a named graph, a file path, or an inline description."""
-    if text_or_name in NAMED_GRAPHS:
-        return NAMED_GRAPHS[text_or_name]()
+    """Resolve a named graph, a file path, or an inline description.  A
+    bare word that names no graph and no file is an unknown name."""
     import os
-    if os.path.exists(text_or_name):
+    if text_or_name not in NAMED_GRAPHS and os.path.exists(text_or_name):
         return load_graph(text_or_name)
     if ":" in text_or_name:
         return parse_inline(text_or_name)
+    if text_or_name.isidentifier():
+        return named_graph(text_or_name)
     return parse_graph(text_or_name)
 
 

@@ -13,16 +13,12 @@ import bisect
 import math
 import random
 
-from .graph import Graph, PartTuple, ColoredGraph, pair_mask, \
-    bitset_members, assignment_chunks
+from .graph import Graph, PartTuple, ColoredGraph, TooLargeError, \
+    pair_mask, bitset_members, assignment_chunks
 from .bounds import PAPER_DEFAULTS
 
 FAMILY_GUARD = 10 ** 8
 _WORD = (1 << 64) - 1
-
-
-class GuardExceeded(Exception):
-    pass
 
 
 class CutFamily:
@@ -42,7 +38,7 @@ class CutFamily:
     def __init__(self, n, r, delta, q=None):
         import numpy as np
         if r ** n > FAMILY_GUARD:
-            raise GuardExceeded("cut family too large: %d^%d" % (r, n))
+            raise TooLargeError("cut family too large: %d^%d" % (r, n))
         self.n = n
         self.r = r
         lo = (1 - delta) * n / r

@@ -16,17 +16,12 @@ decision on one edge updates every copy through it at once.
 import functools
 import random
 
-from .graph import Graph, PartTuple, ext_int
+from .graph import Graph, PartTuple, TooLargeError, ext_int
 from .copies import enumerate_copies
 from .patterns import is_edge_critical, dense_min_degree_bound
 
-EXACT_CUT_GUARD = 5_000_000
 SOL_CAP = 1_000_000      # optimal transversals listed before giving up
 NODE_CAP = 50_000_000    # search nodes visited before giving up
-
-
-class TooLargeError(Exception):
-    pass
 
 
 class EnumerationCapError(Exception):
@@ -50,7 +45,9 @@ def _max_cut_search(g, r, leaf=None):
     crossing edges plus the edges still to place cannot beat the best leaf.
     With leaf, ties are kept (cut off on < rather than <=) and
     leaf(value, assign) is called at every leaf at least as good as the
-    best so far, so every maximum cut relabels some reported leaf.
+    best so far, so every maximum cut relabels some reported leaf.  A node
+    is one call of the recursion, cut off or not; raises TooLargeError past
+    NODE_CAP nodes.
     """
     adj = g.adj
     order = sorted((v for v in range(g.n) if adj[v]),
@@ -70,9 +67,15 @@ def _max_cut_search(g, r, leaf=None):
     best_val, best_assign = -1, None
     assign = [0] * g.n
     parts = [0] * r
+    nodes = 0
+    cap = NODE_CAP
 
     def rec(i, cur, used):
-        nonlocal best_val, best_assign
+        nonlocal best_val, best_assign, nodes
+        nodes += 1
+        if nodes > cap:
+            raise TooLargeError("max-cut search passed %d nodes (n=%d, r=%d)"
+                                % (cap, g.n, r))
         if cur + future[i] < best_val + tie:
             return
         if i == m:
@@ -97,12 +100,9 @@ def _max_cut_search(g, r, leaf=None):
 def max_r_cut(g, r):
     """Largest number of crossing edges over complete r-part partitions:
     (PartTuple, value) of the branch and bound's first best assignment.
-    Raises TooLargeError for n > 16 or r^(n-1) > EXACT_CUT_GUARD."""
+    Raises TooLargeError past NODE_CAP search nodes."""
     if r < 2:
         raise ValueError("need r >= 2")
-    n = g.n
-    if r ** max(n - 1, 0) > EXACT_CUT_GUARD or n > 16:
-        raise TooLargeError("exact cut search too large (n=%d, r=%d)" % (n, r))
     assign, val = _max_cut_search(g, r)
     return PartTuple.from_assignment(assign, r), val
 
@@ -152,9 +152,8 @@ def canonical_cut(f, r):
     edges of the first part, then take the lexicographically least
     part-assignment vector.  The branch and bound lists every maximum cut
     up to part labels; the best labels of a leaf give 0 to a part with the
-    most internal edges and 1, 2, ... to the others by least vertex."""
-    if r ** f.n > EXACT_CUT_GUARD:
-        raise TooLargeError("canonical cut enumeration too large")
+    most internal edges and 1, 2, ... to the others by least vertex.
+    Raises TooLargeError past NODE_CAP search nodes."""
     adj = f.adj
     live = [v for v in range(f.n) if adj[v]]  # degree-0 vertices stay in 0
     best = (1,)  # above every (-crossing, -2 * internal of part 0, assignment)
@@ -188,6 +187,11 @@ def _copy_masks(g, h):
     One decision asks for the same (g, h) in several stages, so the last
     result is kept.  Graphs hash by value and the result is made of tuples,
     so another host never hits the cache and no caller can alter it.
+
+    The order of the masks is enumerate_copies' order, and it is
+    load-bearing: the MILP's rows follow it, and HiGHS returns another
+    witness when its rows are reordered, so reordering the copies changes
+    the witness-derived outputs (pif-balanced cut sizes) on some hosts.
     """
     edges = tuple(g.edges())
     pos = {e: i for i, e in enumerate(edges)}
@@ -393,15 +397,15 @@ def _pattern_facts(h):
 
 
 def free_edge_witness(g, h):
-    """Subgraph of edges lying in no h-copy of g, if its chromatic number
-    exceeds chi(h) - 1; else None.  Such a subgraph certifies a negative
+    """Subgraph of edges lying in no h-copy of g, if it is not
+    (chi(h) - 1)-colourable; else None.  Such a subgraph certifies a negative
     Simonovits answer: every maximum h-free subgraph contains all free edges."""
     edges, masks = _copy_masks(g, h)
     covered = 0
     for m in masks:
         covered |= m
     w = Graph(g.n, [e for i, e in enumerate(edges) if not covered >> i & 1])
-    if w.chromatic_number() > _pattern_facts(h)[0] - 1:
+    if w.proper_colouring(_pattern_facts(h)[0] - 1) is None:
         return w
     return None
 
@@ -435,7 +439,7 @@ def is_simonovits(g, h):
     r = chi(h) - 1.  Returns a SimonovitsVerdict with certificate."""
     chi, critical = _pattern_facts(h)
     r = chi - 1
-    if not critical and g.chromatic_number() >= chi:
+    if not critical and g.proper_colouring(r) is None:
         return SimonovitsVerdict(
             "no", reason="pattern not edge-critical: no host of chromatic "
                          "number >= chi(pattern) has the property")
@@ -457,13 +461,13 @@ def is_simonovits(g, h):
             return SimonovitsVerdict(
                 "indeterminate", ex_size=ex, best_rpartite=best_rp,
                 reason="optimum enumeration exceeded cap: %s" % cap)
-        if witness.chromatic_number() <= r:
+        if witness.proper_colouring(r) is not None:
             raise AssertionError("optimum claims r-partite below cut bound")
         return SimonovitsVerdict(
             "no", ex_size=ex, best_rpartite=best_rp, certificate=witness,
             reason="every optimum exceeds the best r-partite subgraph")
     for f in optima:
-        if f.chromatic_number() > r:
+        if f.proper_colouring(r) is None:
             return SimonovitsVerdict(
                 "no", ex_size=best_rp, best_rpartite=best_rp, certificate=f,
                 optima_count=len(optima),
@@ -502,8 +506,8 @@ def dense_peel(g, h):
         v = victims[0]
         trace.append((v, degs[v], k))
         active.remove(v)
-    terminal = f.induced_in_place(active) if active else Graph(g.n)
-    is_rp = terminal.chromatic_number() <= r if active else True
+    terminal = f.induced_in_place(active)
+    is_rp = terminal.proper_colouring(r) is not None
     return {"trace": trace, "terminal_vertices": sorted(active),
             "terminal": terminal, "peeled_subgraph": f}, is_rp
 

@@ -7,7 +7,7 @@ import itertools
 import math
 import random
 
-from .graph import Graph, ColoredGraph, pair_mask
+from .graph import Graph, ColoredGraph, TooLargeError, pair_mask
 from .copies import (CopyHypergraph, residual_family, janson_moments,
                      subset_counts)
 from .bounds import PAPER_DEFAULTS, upper_tail_rho
@@ -284,7 +284,7 @@ def construct_QF(f, cut, constants=PAPER_DEFAULTS, p=None):
     tilde = Graph(n, [(u, v) for (u, v) in i_graph.edges()
                       if u in y or v in y])
     support = [v for v in range(n) if tilde.degree(v) > 0]
-    from .solvers import max_r_cut, local_max_cut, TooLargeError
+    from .solvers import max_r_cut, local_max_cut
     sub = tilde.induced(support)
     try:
         part, _ = max_r_cut(sub, 2)

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from simonovits import cli, graph, solvers
-from simonovits.graph import complete_graph
+from simonovits import cli, copies, graph, solvers
+from simonovits.graph import blowup_plus, complete_graph
 
 
 def run(argv):
@@ -114,6 +114,13 @@ def test_verify_lemma_high_builds_a_star_union(tmp_path):
         d = json.loads(out.read_text())
         assert (d["applicable"], d["k_Q"], d["restricted_size"]) \
             == (True, 1, restricted)
+
+
+def test_verify_lemma_high_embedding_cap_is_a_guard_refusal(monkeypatch,
+                                                            capsys):
+    monkeypatch.setattr(copies, "EMBED_CAP", 10)
+    assert run(["verify-lemma", "--lemma", "high", "--pattern", "c5"]) == 5
+    assert "guard refusal" in capsys.readouterr().err
 
 
 def test_verify_lemma_pif_balanced_refuses_zero_trials(capsys):
@@ -282,6 +289,23 @@ def test_graph_formats(tmp_path):
     assert run(["check-simonovits", "--graph", "5:0-1,1-2,2-3,3-4,0-4",
                 "--pattern", "triangle",
                 "--json-out", str(tmp_path / "c5.json")]) == 3
+
+
+def test_unknown_graph_name_is_named(capsys):
+    assert run(["check-simonovits", "--graph", "k9", "--pattern", "c5"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown graph name 'k9' (known: c5, k4, k5, petersen, " \
+        "triangle)" in err
+
+
+def test_host_past_16_vertices_is_decided(capsys):
+    # 18 vertices: the max cut used to be refused at n > 16 (exit 5)
+    g = blowup_plus(2, 9)
+    spec = "%d:%s" % (g.n, ",".join("%d-%d" % e for e in g.edges()))
+    assert run(["check-simonovits", "--graph", spec,
+                "--pattern", "triangle"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert (d["decision"], d["ex_size"], d["optima_count"]) == ("yes", 81, 1)
 
 
 def test_malformed_inline_graphs_are_config_errors():

@@ -28,6 +28,9 @@ CASES = [
     ("analyze-k5.json", ["analyze-pattern", "--pattern", "k5"], 0),
     ("scan-c5.csv", ["scan-threshold", "--pattern", "c5", "--n-grid", "8,10",
                      "--trials", "8", "--seed", "3", "--no-timing"], 0),
+    ("scan-c5-n17.csv", ["scan-threshold", "--pattern", "c5", "--n-grid", "17",
+                         "--multipliers", "0.5,1", "--trials", "4",
+                         "--seed", "1", "--no-timing"], 0),
     ("check-k5-triangle.json", ["check-simonovits", "--graph", "k5",
                                 "--pattern", "triangle"], 0),
     ("check-c5-triangle.json", ["check-simonovits", "--graph", "c5",

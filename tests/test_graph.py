@@ -144,3 +144,4 @@ def test_greedy_colouring_proper(n, bits):
     assert col is not None
     assert all(col[u] != col[v] for (u, v) in g.edges())
     assert g.proper_colouring(k - 1) is None or k == 1
+    assert (g.proper_colouring(2) is not None) == g.is_bipartite()

@@ -4,12 +4,12 @@ import random
 import pytest
 
 from simonovits.graph import (Graph, ColoredGraph, PartTuple,
-                              complete_graph, cycle_graph, named_graph,
-                              all_pairs, edge_index)
+                              TooLargeError, complete_graph, cycle_graph,
+                              named_graph, all_pairs, edge_index)
 from simonovits.randgraphs import RngStream, sample_gnp
 from simonovits.copies import residual_family
 from simonovits import rigidity
-from simonovits.rigidity import (CutFamily, GuardExceeded, deficit,
+from simonovits.rigidity import (CutFamily, deficit,
                                  rigidity_threshold,
                                  equivalence_and_rigidity, crit_edges,
                                  run_switching, validate_trace)
@@ -38,7 +38,7 @@ def test_cut_family_respects_colours():
 
 
 def test_cut_family_guard():
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(TooLargeError):
         CutFamily(40, 2, 0.4)
 
 

@@ -35,9 +35,15 @@ def test_max_cut_three_parts():
     assert val == 5
 
 
-def test_max_cut_guard():
+def test_max_cut_guard(monkeypatch):
+    # K17 was past the old n > 16 guard; the search decides it at once
+    _, val = max_r_cut(complete_graph(17), 2)
+    assert val == 8 * 9
+    monkeypatch.setattr(solvers, "NODE_CAP", 100)
     with pytest.raises(TooLargeError):
-        max_r_cut(complete_graph(20), 2)
+        max_r_cut(complete_graph(17), 2)
+    with pytest.raises(TooLargeError):
+        canonical_cut(complete_graph(17), 2)
 
 
 def test_local_cut_is_unfriendly():
@@ -139,15 +145,14 @@ def _first_fit(g):
 
 
 # with more parts than the largest degree every edge can cross, and the
-# lexicographically least proper colouring is the first-fit one; r ** n is
-# just under EXACT_CUT_GUARD in each case
+# lexicographically least proper colouring is the first-fit one; r ** n
+# sat just under the r^n size guard that the node budget replaced
 @pytest.mark.parametrize("g,r", [(complete_graph(6), 13),
                                  (complete_graph(7), 9),
                                  (sample_gnp(7, 0.6, RngStream(34, 0)), 9),
                                  (Graph(6, [(1, 4), (4, 2), (2, 1)]), 13),
                                  (sample_gnp(6, 0.5, RngStream(34, 1)), 13)])
 def test_canonical_cut_near_guard_is_first_fit_colouring(g, r):
-    assert r ** g.n <= solvers.EXACT_CUT_GUARD < (r + 1) ** g.n
     assert canonical_cut(g, r).assignment() == _first_fit(g)
 
 
@@ -331,9 +336,15 @@ ABOVE_CUT = parse_inline("6:0-1,0-2,0-3,0-4,1-3,2-5,3-4,3-5")
 def test_optimum_above_cut_runs_one_milp(monkeypatch, capped):
     if capped:
         # the enumeration stops at its first node, and the MILP decides
-        monkeypatch.setattr(solvers, "NODE_CAP", 0)
-        with pytest.raises(EnumerationCapError):
-            enumerate_optimal_H_free(ABOVE_CUT, K3, 2)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "NODE_CAP", 0)
+            with pytest.raises(EnumerationCapError):
+                enumerate_optimal_H_free(ABOVE_CUT, K3, 2)
+
+        def capped_search(masks, tau):
+            raise EnumerationCapError("transversal search node cap")
+        # NODE_CAP = 0 would refuse the max cut too, so cap the listing alone
+        monkeypatch.setattr(solvers, "_transversal_search", capped_search)
     calls = []
     milp = solvers._min_transversal_milp
 
