@@ -18,7 +18,8 @@ import time
 from .graph import (Graph, ColoredGraph, PartTuple, TooLargeError,
                     graph_from_spec, is_delta_balanced)
 from .patterns import PatternProfile
-from .solvers import is_simonovits, max_H_free, canonical_cut
+from .solvers import (SimonovitsVerdict, is_simonovits, max_H_free,
+                      canonical_cut)
 from .randgraphs import RngStream, sample_gnp
 from . import bounds
 from .copies import residual_family
@@ -82,7 +83,8 @@ def scan_threshold(pattern, n_grid, trials, seed, p_grid=None,
 
     Returns (rows, flagged) where each row is a dict with the cell counts;
     verdicts are memoised per sampled graph so repeated samples cost one
-    solver call.  flagged lists cells that were fully indeterminate.
+    solver call.  A host that a size guard refuses counts as indeterminate.
+    flagged lists cells that were fully indeterminate.
     """
     if not n_grid:
         raise ConfigError("empty n grid")
@@ -115,7 +117,11 @@ def scan_threshold(pattern, n_grid, trials, seed, p_grid=None,
                 key = (n, g.edge_mask())
                 t0 = time.perf_counter()
                 if key not in cache:
-                    cache[key] = is_simonovits(g, h)
+                    try:
+                        cache[key] = is_simonovits(g, h)
+                    except TooLargeError as exc:
+                        cache[key] = SimonovitsVerdict(
+                            "indeterminate", reason="guard refusal: %s" % exc)
                 verdict = cache[key]
                 elapsed += time.perf_counter() - t0
                 counts[verdict.decision] += 1

@@ -6,11 +6,12 @@ copy hypergraph, the Simonovits decision (is every largest h-free subgraph
 (chi(h)-1)-partite?), and the dense-regime peeling argument.
 
 The decision starts from the best r-cut, a lower bound on ex(g, h): one
-transversal search at that size either lists every optimum or finds a
-smaller transversal, and only in the second case does the integer program
-run, for the exact ex and a certificate.  The search keeps the unhit copies
-as bitsets of copy indices grouped by their number of undecided edges, so a
-decision on one edge updates every copy through it at once.
+transversal search at that size either lists every optimum or, once it
+meets a smaller transversal, goes on to a minimum one, which gives the
+exact ex and a certificate.  The integer program runs only when the search
+passes its caps.  The search keeps the unhit copies as bitsets of copy
+indices grouped by their number of undecided edges, so a decision on one
+edge updates every copy through it at once.
 """
 
 import functools
@@ -26,10 +27,6 @@ NODE_CAP = 50_000_000    # search nodes visited before giving up
 
 class EnumerationCapError(Exception):
     pass
-
-
-class _ShorterTransversal(Exception):
-    """A transversal smaller than the requested size exists."""
 
 
 # -- maximum r-cuts ------------------------------------------------------
@@ -201,8 +198,9 @@ def _copy_masks(g, h):
 
 
 def _transversal_search(masks, tau):
-    """Every deletion set of exactly tau elements hitting every mask, if
-    tau is the minimum transversal size; [] otherwise.
+    """(size, leaves): every deletion set of exactly tau elements hitting
+    every mask if tau is the minimum transversal size, the first minimum
+    one alone if tau is above it, and (tau, []) if tau is below it.
 
     Branch and bound over the elements (edges).  Each element is undecided,
     kept or deleted; a mask is hit once one of its elements is deleted.  The
@@ -229,13 +227,19 @@ def _transversal_search(masks, tau):
     K11 with K4 7,615 keys.  Forced deletions are arbitrary unions and are
     not kept.
 
-    Every minimal transversal of at most tau elements is a leaf, and leaves
-    come in a fixed depth-first order, so a tau above the minimum ends at
-    the first smaller leaf, and one below it finds none.  A node is one
-    set of kept and deleted elements that the search enters: the root and
-    each child, except the children after a kept element completes a mask,
-    which are skipped.  Raises EnumerationCapError past SOL_CAP solutions or
-    NODE_CAP nodes.
+    Every minimal transversal of at most tau elements is a leaf, leaves
+    come in a fixed depth-first order, and the branching never reads tau.
+    So the search lists the leaves of tau elements until it meets a smaller
+    one.  That leaf becomes the incumbent, the list is dropped and tau
+    falls to one below it; every later leaf is smaller again and replaces
+    it.  A child is entered only with at most tau deleted elements, and tau
+    can fall while a child runs, so the siblings after it are skipped once
+    the node's own deletions reach tau.  The last incumbent is a minimum
+    transversal, the first one a search at the minimum would list.  A node
+    is one set of kept and deleted elements that the search enters: the
+    root and each child, except the children after a kept element completes
+    a mask, which are skipped.  Raises EnumerationCapError past SOL_CAP
+    listed solutions or NODE_CAP nodes.
     """
     width = 0
     for t in masks:
@@ -250,8 +254,9 @@ def _transversal_search(masks, tau):
     cls = [0] * (max((t.bit_count() for t in masks), default=0) + 2)
     for i, t in enumerate(masks):
         cls[t.bit_count()] |= 1 << i
+    size = tau          # the size of the leaves in sols
     sols = []
-    nodes = [0]
+    nodes = 0
     unblocked = {}      # undecided set of a packed mask -> ~masks through it
 
     def masks_through(elems):
@@ -264,8 +269,9 @@ def _transversal_search(masks, tau):
 
     def rec(cls, kept, dele, d):
         # cls belongs to this call: the caller built it for this child
-        nodes[0] += 1
-        if nodes[0] > NODE_CAP:
+        nonlocal tau, size, sols, nodes
+        nodes += 1
+        if nodes > NODE_CAP:
             raise EnumerationCapError("transversal search node cap")
         if cls[0]:
             return
@@ -301,8 +307,9 @@ def _transversal_search(masks, tau):
                 free &= f
                 c &= f
         if not pick:
-            if d < tau:
-                raise _ShorterTransversal
+            if d < size:
+                size, sols, tau = d, [dele], d - 1
+                return
             sols.append(dele)
             if len(sols) > SOL_CAP:
                 raise EnumerationCapError("transversal solution cap")
@@ -313,6 +320,8 @@ def _transversal_search(masks, tau):
             on_b = inc[b.bit_length() - 1]
             unhit = ~on_b
             rec([c & unhit for c in cls], kept, dele | b, d + 1)
+            if d >= tau:
+                return  # a smaller incumbent leaves no room for a sibling
             kept |= b
             for s in range(1, len(cls)):
                 down = cls[s] & on_b
@@ -322,11 +331,8 @@ def _transversal_search(masks, tau):
             if cls[0]:
                 return  # every later child keeps a whole mask
 
-    try:
-        rec(cls, 0, 0, 0)
-    except _ShorterTransversal:
-        return []
-    return sols
+    rec(cls, 0, 0, 0)
+    return size, sols
 
 
 def _min_transversal_milp(masks, n_vars):
@@ -374,19 +380,17 @@ def max_H_free(g, h):
 
 
 def enumerate_optimal_H_free(g, h, tau):
-    """All largest h-free subgraphs of g if tau = e(g) - ex(g, h).
-
-    For any other tau the answer is [], which is exact: no largest h-free
-    subgraph has e(g) - tau edges.
+    """All largest h-free subgraphs of g if tau = e(g) - ex(g, h); the
+    first one the transversal search meets, alone, if tau is larger; and
+    [] if tau is smaller, since no h-free subgraph has more than ex(g, h)
+    edges.  Raises EnumerationCapError past the search's caps.
     """
     edges, masks = _copy_masks(g, h)
     if not masks:
-        return [g] if tau == 0 else []
-    out = []
-    for dele in _transversal_search(masks, tau):
-        out.append(Graph(g.n, [e for i, e in enumerate(edges)
-                               if not dele >> i & 1]))
-    return out
+        return [g] if tau >= 0 else []
+    _, leaves = _transversal_search(masks, tau)
+    return [Graph(g.n, [e for i, e in enumerate(edges) if not dele >> i & 1])
+            for dele in leaves]
 
 
 @functools.lru_cache(maxsize=16)
@@ -436,7 +440,12 @@ class SimonovitsVerdict:
 
 def is_simonovits(g, h):
     """Decide whether every largest h-free subgraph of g is r-partite,
-    r = chi(h) - 1.  Returns a SimonovitsVerdict with certificate."""
+    r = chi(h) - 1.  Returns a SimonovitsVerdict with certificate.
+
+    One transversal search at e(g) - best r-cut lists every optimum when
+    ex equals the best cut, and otherwise returns one larger optimum, whose
+    size is ex; optima_count is then None.  Only a search stopped by its
+    caps falls back to max_H_free's integer program."""
     chi, critical = _pattern_facts(h)
     r = chi - 1
     if not critical and g.proper_colouring(r) is None:
@@ -449,22 +458,22 @@ def is_simonovits(g, h):
             "no", certificate=w,
             reason="free edges span a non-r-partite subgraph")
     _, best_rp = max_r_cut(g, r)
-    cap = None
     try:
-        # ex >= best_rp, so [] means that no optimum has best_rp edges
+        # ex >= best_rp, so the search at this size meets an optimum
         optima = enumerate_optimal_H_free(g, h, g.edge_count() - best_rp)
-    except EnumerationCapError as exc:
-        cap, optima = exc, []
-    if not optima:
+    except EnumerationCapError as cap:
         ex, witness = max_H_free(g, h)
-        if ex == best_rp:  # only when the cap stopped the enumeration
+        if ex == best_rp:
             return SimonovitsVerdict(
                 "indeterminate", ex_size=ex, best_rpartite=best_rp,
                 reason="optimum enumeration exceeded cap: %s" % cap)
-        if witness.proper_colouring(r) is not None:
+        optima = [witness]
+    ex = optima[0].edge_count()
+    if ex > best_rp:
+        if optima[0].proper_colouring(r) is not None:
             raise AssertionError("optimum claims r-partite below cut bound")
         return SimonovitsVerdict(
-            "no", ex_size=ex, best_rpartite=best_rp, certificate=witness,
+            "no", ex_size=ex, best_rpartite=best_rp, certificate=optima[0],
             reason="every optimum exceeds the best r-partite subgraph")
     for f in optima:
         if f.proper_colouring(r) is None:

@@ -322,6 +322,19 @@ def test_enumeration_cap_exits_indeterminate(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["decision"] == "indeterminate"
 
 
+def test_refused_trial_counts_as_indeterminate(monkeypatch, capsys):
+    # a 100-node budget refuses the max cut of most n = 14 hosts; each such
+    # trial is indeterminate and the scan writes every row
+    monkeypatch.setattr(solvers, "NODE_CAP", 100)
+    assert run(["scan-threshold", "--pattern", "triangle", "--n-grid", "14",
+                "--trials", "3", "--seed", "0", "--no-timing"]) == 0
+    rows = [line.split(",") for line in
+            capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 5
+    assert all(int(r[3]) + int(r[4]) + int(r[5]) == 3 for r in rows)
+    assert sum(int(r[5]) for r in rows) >= 12
+
+
 BOWTIE = "5:0-1,0-2,1-2,2-3,2-4,3-4"     # chi 3, no critical edge
 
 

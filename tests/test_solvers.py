@@ -1,10 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simonovits import solvers
+from simonovits.copies import enumerate_copies
 from simonovits.randgraphs import RngStream, sample_gnp
 from simonovits.graph import (Graph, complete_graph, cycle_graph,
                               complete_multipartite, named_graph,
@@ -15,8 +19,7 @@ from simonovits.solvers import (max_r_cut, local_max_cut, is_unfriendly,
                                 enumerate_optimal_H_free,
                                 free_edge_witness, is_simonovits,
                                 dense_peel, augment_rpartite, TooLargeError,
-                                EnumerationCapError, NODE_CAP, SOL_CAP,
-                                _ShorterTransversal)
+                                EnumerationCapError, NODE_CAP, SOL_CAP)
 
 K3 = named_graph("triangle")
 K4 = named_graph("k4")
@@ -198,6 +201,10 @@ def test_turan_k4():
 def test_pattern_free_host_is_returned_whole():
     ex, f = max_H_free(cycle_graph(5), K3)
     assert ex == 5 and f.edges() == cycle_graph(5).edges()
+    # the minimum transversal is empty, so any tau >= 0 finds the host
+    for tau in (0, 2):
+        assert enumerate_optimal_H_free(cycle_graph(5), K3, tau) == [f]
+    assert enumerate_optimal_H_free(cycle_graph(5), K3, -1) == []
 
 
 def test_enumerate_optima_counts():
@@ -209,10 +216,17 @@ def test_enumerate_optima_counts():
         optima = enumerate_optimal_H_free(g, K3, g.edge_count() - ex)
         assert len(optima) == cnt
         assert all(f.edge_count() == ex for f in optima)
-    # any tau but the minimum (4 on K5) has no optimum of e(g) - tau edges
+    # above the minimum (4 on K5) the search goes on to the first optimum;
+    # below it no subgraph has e(g) - tau edges
     g = complete_graph(5)
-    assert enumerate_optimal_H_free(g, K3, 5) == []
+    first = enumerate_optimal_H_free(g, K3, 5)
+    assert len(first) == 1 and first[0].edge_count() == 6
+    assert enumerate_copies(K3, first[0]) == []
     assert enumerate_optimal_H_free(g, K3, 3) == []
+
+
+class _ShorterTransversal(Exception):
+    """A transversal smaller than the requested size exists."""
 
 
 def _reference_transversal_search(masks, tau):
@@ -293,31 +307,47 @@ SEARCH_PATTERNS = {"triangle": K3, "c5": named_graph("c5"), "k4": K4,
                    "bowtie": parse_inline("5:0-1,0-2,1-2,2-3,2-4,3-4")}
 
 
-# the list-based search that the copy-bitset search replaced; both must
-# give the same leaves in the same order, and [] above and below the minimum
+def _check_against_reference(masks, n_vars, taus):
+    """At and below the minimum, the search lists the reference's leaves in
+    its order; above it, the search returns the MILP's minimum size and the
+    reference's first leaf at the minimum.  Returns the minimum, or None
+    if every tau is below it."""
+    low = None
+    for tau in taus:
+        if low is None:
+            ref = _reference_transversal_search(masks, tau)
+            assert solvers._transversal_search(masks, tau) == (tau, ref), tau
+            if ref:
+                low, first = tau, ref[0]
+                milp_size = (solvers._min_transversal_milp(masks, n_vars)
+                             .bit_count() if masks else 0)
+                assert milp_size == low
+            continue
+        assert _reference_transversal_search(masks, tau) == []
+        assert solvers._transversal_search(masks, tau) == (low, [first]), tau
+        assert all(t & first for t in masks)
+    return low
+
+
+# the list-based search that the copy-bitset search replaced: the same
+# leaves in the same order at and below the minimum, and above it the
+# minimum that the MILP (which the continued search replaced) finds
 @pytest.mark.parametrize("pattern", sorted(SEARCH_PATTERNS))
 def test_transversal_search_matches_reference(pattern):
     h = SEARCH_PATTERNS[pattern]
     for n in range(4, 10):
         for t, p in enumerate((0.35, 0.6, 0.85)):
             g = sample_gnp(n, p, RngStream(n * 10 + t, 0))
-            _, masks = solvers._copy_masks(g, h)
-            for tau in range(min(g.edge_count(), 14) + 1):
-                assert (solvers._transversal_search(masks, tau)
-                        == _reference_transversal_search(masks, tau)), \
-                    (g.edges(), tau)
+            edges, masks = solvers._copy_masks(g, h)
+            _check_against_reference(
+                masks, len(edges), range(min(g.edge_count(), 14) + 1))
 
 
 def test_transversal_search_unequal_and_duplicate_masks():
     # sizes 1 to 4, two masks repeated, and element 9 in no mask
     masks = (0b1011, 0b0110, 0b0110, 0b10000, 0b1100100, 0b1011,
              0b110000000, 0b100101000, 0b11100, 0b10001000011)
-    searched = 0
-    for tau in range(12):
-        sols = solvers._transversal_search(masks, tau)
-        assert sols == _reference_transversal_search(masks, tau)
-        searched += bool(sols)
-    assert searched == 1
+    assert _check_against_reference(masks, 11, range(12)) is not None
 
 
 def test_cut_optimal_host_needs_no_milp(monkeypatch):
@@ -329,7 +359,8 @@ def test_cut_optimal_host_needs_no_milp(monkeypatch):
 
 
 # ex = 7 (delete 0-3) beats the best bipartite subgraph, 6 edges
-ABOVE_CUT = parse_inline("6:0-1,0-2,0-3,0-4,1-3,2-5,3-4,3-5")
+ABOVE_CUT_SPEC = "6:0-1,0-2,0-3,0-4,1-3,2-5,3-4,3-5"
+ABOVE_CUT = parse_inline(ABOVE_CUT_SPEC)
 
 
 @pytest.mark.parametrize("capped", [False, True])
@@ -356,7 +387,23 @@ def test_optimum_above_cut_runs_one_milp(monkeypatch, capped):
     assert (v.decision, v.ex_size, v.best_rpartite) == ("no", 7, 6)
     assert v.reason.startswith("every optimum exceeds")
     assert v.certificate.edge_count() == 7
-    assert len(calls) == 1
+    # the search goes on to the minimum; only a capped one needs the MILP
+    assert len(calls) == (1 if capped else 0)
+
+
+def test_optimum_above_cut_loads_no_milp_solver():
+    # a fresh interpreter, so that no earlier test has imported scipy
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    code = ("import sys\n"
+            "from simonovits.graph import named_graph, parse_inline\n"
+            "from simonovits.solvers import is_simonovits\n"
+            "v = is_simonovits(parse_inline(%r), named_graph('triangle'))\n"
+            "print(v.decision, v.ex_size, 'scipy' in sys.modules)\n"
+            % ABOVE_CUT_SPEC)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert res.stdout.strip() == "no 7 False"
 
 
 def test_packing_bound_prunes_k8_c5_within_5000_nodes(monkeypatch):
@@ -379,6 +426,28 @@ def test_transversal_search_tree_size_on_complete_hosts(
     _, masks = solvers._copy_masks(complete_graph(n), named_graph(pattern))
     monkeypatch.setattr(solvers, "NODE_CAP", nodes)
     assert solvers._transversal_search(masks, tau)
+    monkeypatch.setattr(solvers, "NODE_CAP", nodes - 1)
+    with pytest.raises(EnumerationCapError):
+        solvers._transversal_search(masks, tau)
+
+
+# (n, p, stream seed, pattern, tau = e - best r-cut, minimum, nodes): a
+# G(n, p) host whose optimum beats its best cut, so the search meets a
+# smaller leaf and goes on to the minimum; the tree's size pins the
+# incumbent's pruning
+MINIMISING_TREE = (13, 0.5, 4, "triangle", 10, 8, 210)
+
+
+def test_transversal_search_tree_size_when_minimising(monkeypatch):
+    n, p, seed, pattern, tau, low, nodes = MINIMISING_TREE
+    g = sample_gnp(n, p, RngStream(seed, 0))
+    h = named_graph(pattern)
+    assert g.edge_count() - max_r_cut(g, h.chromatic_number() - 1)[1] == tau
+    _, masks = solvers._copy_masks(g, h)
+    monkeypatch.setattr(solvers, "NODE_CAP", nodes)
+    size, leaves = solvers._transversal_search(masks, tau)
+    assert size == low and leaves == _reference_transversal_search(masks,
+                                                                   low)[:1]
     monkeypatch.setattr(solvers, "NODE_CAP", nodes - 1)
     with pytest.raises(EnumerationCapError):
         solvers._transversal_search(masks, tau)
@@ -471,6 +540,12 @@ def test_simonovits_no_cases():
     v = is_simonovits(disjoint_union(complete_graph(5), cycle_graph(5)), K3)
     assert v.decision == "no"
     assert v.certificate is not None
+    # ex equals the best cut, and one of the 3 optima is not bipartite
+    v = is_simonovits(sample_gnp(6, 0.5, RngStream(35, 6000)), K3)
+    assert (v.decision, v.ex_size, v.best_rpartite, v.optima_count) \
+        == ("no", 6, 6, 3)
+    assert v.reason == "found a non-r-partite optimum"
+    assert v.certificate.proper_colouring(2) is None
 
 
 def test_simonovits_non_critical_pattern():
