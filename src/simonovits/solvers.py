@@ -198,9 +198,9 @@ def _copy_masks(g, h):
 
 
 def _transversal_search(masks, tau):
-    """(size, leaves): every deletion set of exactly tau elements hitting
-    every mask if tau is the minimum transversal size, the first minimum
-    one alone if tau is above it, and (tau, []) if tau is below it.
+    """Every deletion set of exactly tau elements hitting every mask if tau
+    is the minimum transversal size, the first minimum one alone if tau is
+    above it, and [] if tau is below it.
 
     Branch and bound over the elements (edges).  Each element is undecided,
     kept or deleted; a mask is hit once one of its elements is deleted.  The
@@ -332,7 +332,7 @@ def _transversal_search(masks, tau):
                 return  # every later child keeps a whole mask
 
     rec(cls, 0, 0, 0)
-    return size, sols
+    return sols
 
 
 def _min_transversal_milp(masks, n_vars):
@@ -388,9 +388,8 @@ def enumerate_optimal_H_free(g, h, tau):
     edges, masks = _copy_masks(g, h)
     if not masks:
         return [g] if tau >= 0 else []
-    _, leaves = _transversal_search(masks, tau)
     return [Graph(g.n, [e for i, e in enumerate(edges) if not dele >> i & 1])
-            for dele in leaves]
+            for dele in _transversal_search(masks, tau)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -445,7 +444,9 @@ def is_simonovits(g, h):
     One transversal search at e(g) - best r-cut lists every optimum when
     ex equals the best cut, and otherwise returns one larger optimum, whose
     size is ex; optima_count is then None.  Only a search stopped by its
-    caps falls back to max_H_free's integer program."""
+    caps falls back to max_H_free's integer program, so a host whose
+    minimising search is costly can walk up to NODE_CAP nodes before the
+    integer program, which may settle it faster, is tried."""
     chi, critical = _pattern_facts(h)
     r = chi - 1
     if not critical and g.proper_colouring(r) is None:

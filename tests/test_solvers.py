@@ -316,7 +316,7 @@ def _check_against_reference(masks, n_vars, taus):
     for tau in taus:
         if low is None:
             ref = _reference_transversal_search(masks, tau)
-            assert solvers._transversal_search(masks, tau) == (tau, ref), tau
+            assert solvers._transversal_search(masks, tau) == ref, tau
             if ref:
                 low, first = tau, ref[0]
                 milp_size = (solvers._min_transversal_milp(masks, n_vars)
@@ -324,7 +324,9 @@ def _check_against_reference(masks, n_vars, taus):
                 assert milp_size == low
             continue
         assert _reference_transversal_search(masks, tau) == []
-        assert solvers._transversal_search(masks, tau) == (low, [first]), tau
+        leaves = solvers._transversal_search(masks, tau)
+        assert leaves == [first], tau
+        assert leaves[0].bit_count() == milp_size
         assert all(t & first for t in masks)
     return low
 
@@ -425,7 +427,9 @@ def test_transversal_search_tree_size_on_complete_hosts(
         monkeypatch, n, pattern, tau, nodes):
     _, masks = solvers._copy_masks(complete_graph(n), named_graph(pattern))
     monkeypatch.setattr(solvers, "NODE_CAP", nodes)
-    assert solvers._transversal_search(masks, tau)
+    # tau is the minimum: the search lists optima of tau elements
+    leaves = solvers._transversal_search(masks, tau)
+    assert leaves and all(x.bit_count() == tau for x in leaves)
     monkeypatch.setattr(solvers, "NODE_CAP", nodes - 1)
     with pytest.raises(EnumerationCapError):
         solvers._transversal_search(masks, tau)
@@ -445,9 +449,9 @@ def test_transversal_search_tree_size_when_minimising(monkeypatch):
     assert g.edge_count() - max_r_cut(g, h.chromatic_number() - 1)[1] == tau
     _, masks = solvers._copy_masks(g, h)
     monkeypatch.setattr(solvers, "NODE_CAP", nodes)
-    size, leaves = solvers._transversal_search(masks, tau)
-    assert size == low and leaves == _reference_transversal_search(masks,
-                                                                   low)[:1]
+    leaves = solvers._transversal_search(masks, tau)
+    assert [x.bit_count() for x in leaves] == [low]
+    assert leaves == _reference_transversal_search(masks, low)[:1]
     monkeypatch.setattr(solvers, "NODE_CAP", nodes - 1)
     with pytest.raises(EnumerationCapError):
         solvers._transversal_search(masks, tau)
