@@ -180,9 +180,6 @@ class CopyHypergraph:
     def induce_graph(self, g):
         return self.induce(g.edge_mask())
 
-    def matching_number(self):
-        return matching_number(self.family)
-
 
 # -- generic set-family operations ---------------------------------------
 # Members are int bitmasks; an element is a bit position.
@@ -205,36 +202,6 @@ def boundary(family):
     out = {a & ~(1 << x) for a in family for x in bitset_members(a)}
     out.discard(0)
     return sorted(out, key=bitset_members)
-
-
-def matching_number(family):
-    """Largest number of pairwise disjoint members (exact branch and bound).
-
-    Members go by size, so each one taken from i on uses at least
-    |masks[i]| elements that no taken member uses.  A node is cut off when
-    the members left, or the unused elements over |masks[i]|, cannot take
-    it past the best."""
-    masks = sorted(set(family), key=int.bit_count)
-    width = 0
-    for a in masks:
-        width |= a
-    best = [0]
-
-    def rec(i, used, size):
-        if size + (len(masks) - i) <= best[0]:
-            return
-        if i == len(masks):
-            best[0] = max(best[0], size)
-            return
-        k = masks[i].bit_count()
-        if k and size + (width & ~used).bit_count() // k <= best[0]:
-            return
-        if masks[i] & used == 0:
-            rec(i + 1, used | masks[i], size + 1)
-        rec(i + 1, used, size)
-
-    rec(0, 0, 0)
-    return best[0]
 
 
 def subset_counts(members, j):

@@ -215,23 +215,6 @@ class Graph:
 
         return colour if rec(0, -1) else None
 
-    def is_bipartite(self):
-        colour = [-1] * self.n
-        for s in range(self.n):
-            if colour[s] >= 0:
-                continue
-            colour[s] = 0
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for w in self.neighbours(v):
-                    if colour[w] < 0:
-                        colour[w] = 1 - colour[v]
-                        stack.append(w)
-                    elif colour[w] == colour[v]:
-                        return False
-        return True
-
 
 def bitset_members(mask):
     out = []

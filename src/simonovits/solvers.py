@@ -12,6 +12,18 @@ exact ex and a certificate.  The integer program runs only when the search
 passes its caps.  The search keeps the unhit copies as bitsets of copy
 indices grouped by their number of undecided edges, so a decision on one
 edge updates every copy through it at once.
+
+A host whose every non-isolated vertex has a twin (N(u) - {v} = N(v) - {u}:
+complete, complete multipartite and blown-up hosts) is first decided
+without listing its optima.  The optima are counted as the distinct
+crossing sets of the maximum r-cuts, and the same search, in an existence
+mode, looks only for a bad leaf: an optimum that beats the best cut, or one
+that is not r-partite.  A child whose edge a swap of two twins, or of two pairs
+of twins, maps onto an earlier sibling's, while fixing the node's kept and
+deleted edges, is skipped; the swap maps every leaf below it onto a leaf
+below the earlier sibling.  No bad leaf means "yes": ex is the best cut and
+the optima are exactly the maximum cuts' crossing sets.  A bad leaf, or a
+search past its node cap, leaves the host to the listing.
 """
 
 import functools
@@ -197,7 +209,7 @@ def _copy_masks(g, h):
     return edges, masks
 
 
-def _transversal_search(masks, tau):
+def _transversal_search(masks, tau, twins=None):
     """Every deletion set of exactly tau elements hitting every mask if tau
     is the minimum transversal size, the first minimum one alone if tau is
     above it, and [] if tau is below it.
@@ -240,6 +252,18 @@ def _transversal_search(masks, tau):
     root and each child, except the children after a kept element completes
     a mask, which are skipped.  Raises EnumerationCapError past SOL_CAP
     listed solutions or NODE_CAP nodes.
+
+    With twins = (ends, mates, good) the search only asks whether a bad
+    leaf exists: one below tau elements, or one with good(leaf) false.  It
+    returns [the first bad leaf], or [] if there is none.  The elements are
+    the edges of a host, ends[e] the two ends of edge e and mates[v] the
+    bitmask of v's twins, the vertices u with N(u) - {v} = N(v) - {u}.
+    Swapping two twins, or two pairs of twins, is an automorphism of the
+    host and so of the masks.  Child j is skipped when one such swap fixes
+    the node's kept and deleted sets and maps its element onto an earlier
+    sibling's: it maps every leaf below child j onto a leaf of the same
+    size below an earlier child, and good must not change under it.  So
+    the first child with a bad leaf below it is never skipped.
     """
     width = 0
     for t in masks:
@@ -258,6 +282,11 @@ def _transversal_search(masks, tau):
     sols = []
     nodes = 0
     unblocked = {}      # undecided set of a packed mask -> ~masks through it
+
+    skip = None
+    if twins is not None:
+        ends, mates, good = twins
+        skip = _twin_skip(ends, mates)
 
     def masks_through(elems):
         out = 0
@@ -307,6 +336,10 @@ def _transversal_search(masks, tau):
                 free &= f
                 c &= f
         if not pick:
+            if twins is not None:
+                if d < tau or not good(dele):
+                    sols, tau = [dele], -1  # every ancestor returns
+                return
             if d < size:
                 size, sols, tau = d, [dele], d - 1
                 return
@@ -314,12 +347,14 @@ def _transversal_search(masks, tau):
             if len(sols) > SOL_CAP:
                 raise EnumerationCapError("transversal solution cap")
             return
+        node_kept = kept
         while pick:
             b = pick & -pick
             pick ^= b
             on_b = inc[b.bit_length() - 1]
             unhit = ~on_b
-            rec([c & unhit for c in cls], kept, dele | b, d + 1)
+            if not (skip and skip(b, kept ^ node_kept, node_kept, dele)):
+                rec([c & unhit for c in cls], kept, dele | b, d + 1)
             if d >= tau:
                 return  # a smaller incumbent leaves no room for a sibling
             kept |= b
@@ -333,6 +368,58 @@ def _transversal_search(masks, tau):
 
     rec(cls, 0, 0, 0)
     return sols
+
+
+def _twin_skip(ends, mates):
+    """skip(b, earlier, kept, dele) for _transversal_search: whether a swap
+    of two twins, or of two pairs of twins, fixes the edge sets kept and
+    dele and maps edge b onto one of the edges in earlier."""
+    star = [0] * len(mates)
+    for e, (u, v) in enumerate(ends):
+        star[u] |= 1 << e
+        star[v] |= 1 << e
+
+    def nbrs(v, edge_set):
+        out = 0
+        edge_set &= star[v]
+        while edge_set:
+            e = edge_set & -edge_set
+            edge_set ^= e
+            a, c = ends[e.bit_length() - 1]
+            out |= 1 << a | 1 << c
+        return out & ~(1 << v)
+
+    def fixes(swaps, kept, dele):
+        for p, q in swaps:
+            if not mates[p] >> q & 1:
+                return False
+        for p, q in swaps:
+            for edge_set in (kept, dele):
+                m = nbrs(p, edge_set)
+                for s, t in swaps:
+                    if (m >> s ^ m >> t) & 1:
+                        m ^= 1 << s | 1 << t
+                if m != nbrs(q, edge_set):
+                    return False
+        return True
+
+    def skip(b, earlier, kept, dele):
+        x, y = ends[b.bit_length() - 1]
+        while earlier:
+            e = earlier & -earlier
+            earlier ^= e
+            a, c = ends[e.bit_length() - 1]
+            if x in (a, c) or y in (a, c):
+                # one shared end: swap the other two
+                p, q = (y, c + a - x) if x in (a, c) else (x, c + a - y)
+                if fixes(((p, q),), kept, dele):
+                    return True
+            elif (fixes(((x, a), (y, c)), kept, dele)
+                  or fixes(((x, c), (y, a)), kept, dele)):
+                return True
+        return False
+
+    return skip
 
 
 def _min_transversal_milp(masks, n_vars):
@@ -446,7 +533,18 @@ def is_simonovits(g, h):
     size is ex; optima_count is then None.  Only a search stopped by its
     caps falls back to max_H_free's integer program, so a host whose
     minimising search is costly can walk up to NODE_CAP nodes before the
-    integer program, which may settle it faster, is tried."""
+    integer program, which may settle it faster, is tried.
+
+    A host whose every non-isolated vertex v has a twin, a vertex u with
+    N(u) - {v} = N(v) - {u}, goes first to _decide_up_to_twins.  It counts
+    the distinct crossing sets of the maximum r-cuts, then asks the search
+    for a bad optimum (above the best cut, or not r-partite), skipping each
+    child that a swap of twins, or of two pairs of twins, maps onto an
+    earlier sibling while fixing the node's kept and deleted edges.  With
+    no bad optimum the answer is "yes" with that count, since the optima
+    are then exactly the maximum cuts' crossing sets.  A bad optimum, or a
+    search past NODE_CAP, leaves the host to the listing, so every "no"
+    keeps its certificate and optima_count."""
     chi, critical = _pattern_facts(h)
     r = chi - 1
     if not critical and g.proper_colouring(r) is None:
@@ -459,6 +557,77 @@ def is_simonovits(g, h):
             "no", certificate=w,
             reason="free edges span a non-r-partite subgraph")
     _, best_rp = max_r_cut(g, r)
+    mates = _twin_mates(g)
+    if mates is not None:
+        v = _decide_up_to_twins(g, h, r, best_rp, mates)
+        if v is not None:
+            return v
+    return _decide_by_listing(g, h, r, best_rp)
+
+
+def _twin_mates(g):
+    """mates[v], the bitmask of v's twins (the vertices u != v with
+    N(u) - {v} = N(v) - {u}), if every non-isolated vertex has one; else
+    None, returned at the first vertex without one."""
+    adj = g.adj
+    mates = [0] * g.n
+    for v, a in enumerate(adj):
+        for u in range(g.n):
+            if u != v and adj[u] & ~(1 << v) == a & ~(1 << u):
+                mates[v] |= 1 << u
+        if a and not mates[v]:
+            return None
+    return mates
+
+
+def _decide_up_to_twins(g, h, r, best_rp, mates):
+    """The "yes" verdict of is_simonovits' twin route, or None.
+
+    If no optimum has more than best_rp edges or fails to be r-partite,
+    the optima are exactly the crossing sets of the maximum r-cuts: an
+    r-partite subgraph with best_rp edges is a maximum cut's crossing set,
+    and every such set is h-free.  None, for the listing to decide, on a
+    bad optimum, past NODE_CAP, or past SOL_CAP crossing sets, where the
+    listing stops at its cap.
+    """
+    adj = g.adj
+    crossings = set()
+    top = -1
+
+    def leaf(value, assign):
+        nonlocal top
+        if value > top:
+            top = value
+            crossings.clear()
+        parts = [0] * r
+        for v, c in enumerate(assign):
+            parts[c] |= 1 << v
+        # the crossing graph as one int, its adjacency rows side by side
+        crossings.add(sum((a & ~parts[c]) << v * g.n
+                          for v, (a, c) in enumerate(zip(adj, assign))))
+
+    edges, masks = _copy_masks(g, h)
+
+    def good(dele):
+        kept = Graph(g.n, [e for i, e in enumerate(edges)
+                           if not dele >> i & 1])
+        return kept.proper_colouring(r) is not None
+
+    try:
+        _max_cut_search(g, r, leaf)
+        if len(crossings) > SOL_CAP or _transversal_search(
+                masks, g.edge_count() - best_rp, (edges, mates, good)):
+            return None
+    except (TooLargeError, EnumerationCapError):
+        return None
+    return SimonovitsVerdict(
+        "yes", ex_size=best_rp, best_rpartite=best_rp,
+        optima_count=len(crossings), reason="all optima r-partite")
+
+
+def _decide_by_listing(g, h, r, best_rp):
+    """The verdict from the optima that one transversal search lists at
+    e(g) - best_rp, or from max_H_free past the search's caps."""
     try:
         # ex >= best_rp, so the search at this size meets an optimum
         optima = enumerate_optimal_H_free(g, h, g.edge_count() - best_rp)

@@ -15,7 +15,7 @@ from simonovits.copies import (embeddings, count_embeddings,
                                automorphism_count, enumerate_copies,
                                count_copies, are_isomorphic,
                                copies_as_hypergraph, CopyHypergraph, induce,
-                               link, boundary, matching_number,
+                               link, boundary,
                                critical_edge_and_anchor, residual_family,
                                janson_moments, subset_counts, PROFILE_LIMIT)
 from simonovits.randgraphs import RngStream, sample_gnp
@@ -59,8 +59,9 @@ def test_isomorphism():
 
 def test_matching_number_edge_disjoint_triangles():
     # K5 packs 2 edge-disjoint triangles; K7 decomposes into 7
-    assert copies_as_hypergraph(K3, complete_graph(5)).matching_number() == 2
-    assert copies_as_hypergraph(K3, complete_graph(7)).matching_number() == 7
+    for n, packed in ((5, 2), (7, 7)):
+        family = copies_as_hypergraph(K3, complete_graph(n)).family
+        assert matching_number(family) == packed
 
 
 def _mask(elements):
@@ -96,6 +97,36 @@ def _ref_boundary(family):
             if b:
                 out.add(b)
     return sorted(out, key=lambda a: tuple(sorted(a)))
+
+
+def matching_number(family):
+    """Largest number of pairwise disjoint members (exact branch and bound).
+
+    Members go by size, so each one taken from i on uses at least
+    |masks[i]| elements that no taken member uses.  A node is cut off when
+    the members left, or the unused elements over |masks[i]|, cannot take
+    it past the best."""
+    masks = sorted(set(family), key=int.bit_count)
+    width = 0
+    for a in masks:
+        width |= a
+    best = [0]
+
+    def rec(i, used, size):
+        if size + (len(masks) - i) <= best[0]:
+            return
+        if i == len(masks):
+            best[0] = max(best[0], size)
+            return
+        k = masks[i].bit_count()
+        if k and size + (width & ~used).bit_count() // k <= best[0]:
+            return
+        if masks[i] & used == 0:
+            rec(i + 1, used | masks[i], size + 1)
+        rec(i + 1, used, size)
+
+    rec(0, 0, 0)
+    return best[0]
 
 
 def _ref_matching_number(family):

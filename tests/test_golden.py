@@ -20,6 +20,10 @@ from simonovits import cli
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
+# K_{3,3,3} in the inline format
+K333 = ("9:0-3,0-4,0-5,0-6,0-7,0-8,1-3,1-4,1-5,1-6,1-7,1-8,2-3,2-4,2-5,"
+        "2-6,2-7,2-8,3-6,3-7,3-8,4-6,4-7,4-8,5-6,5-7,5-8")
+
 # (file name, argv, exit code)
 CASES = [
     ("analyze-triangle.json", ["analyze-pattern", "--pattern", "triangle"], 0),
@@ -35,6 +39,10 @@ CASES = [
                                 "--pattern", "triangle"], 0),
     ("check-c5-triangle.json", ["check-simonovits", "--graph", "c5",
                                 "--pattern", "triangle"], 3),
+    ("check-k333-triangle.json", ["check-simonovits", "--graph", K333,
+                                  "--pattern", "triangle"], 0),
+    ("check-k5-c5.json", ["check-simonovits", "--graph", "k5",
+                          "--pattern", "c5"], 3),
     ("check-petersen-triangle.json", ["check-simonovits", "--graph",
                                       "petersen", "--pattern", "triangle"], 3),
     ("switching-n12.json", ["simulate-switching", "--n", "12", "--p", "0.5",

@@ -11,7 +11,7 @@ from simonovits import solvers
 from simonovits.copies import enumerate_copies
 from simonovits.randgraphs import RngStream, sample_gnp
 from simonovits.graph import (Graph, complete_graph, cycle_graph,
-                              complete_multipartite, named_graph,
+                              complete_multipartite, blowup_plus, named_graph,
                               petersen_graph, disjoint_union, parse_inline,
                               PartTuple, all_pairs)
 from simonovits.solvers import (max_r_cut, local_max_cut, is_unfriendly,
@@ -20,6 +20,8 @@ from simonovits.solvers import (max_r_cut, local_max_cut, is_unfriendly,
                                 free_edge_witness, is_simonovits,
                                 dense_peel, augment_rpartite, TooLargeError,
                                 EnumerationCapError, NODE_CAP, SOL_CAP)
+
+from test_graph import is_bipartite
 
 K3 = named_graph("triangle")
 K4 = named_graph("k4")
@@ -189,7 +191,7 @@ def test_mantel():
     for n in range(4, 10):
         ex, f = max_H_free(complete_graph(n), K3)
         assert ex == n * n // 4
-        assert f.is_bipartite()
+        assert is_bipartite(f)
 
 
 def test_turan_k4():
@@ -435,6 +437,45 @@ def test_transversal_search_tree_size_on_complete_hosts(
         solvers._transversal_search(masks, tau)
 
 
+# (n, pattern, nodes): the existence search's tree on K_n with the twin
+# skip; the listing walks 85,272, 143,837 and 16,915 nodes on these hosts
+TWIN_TREES = [(11, "triangle", 12851), (10, "k4", 4555), (9, "c5", 5584)]
+
+
+@pytest.mark.parametrize("n,pattern,nodes", TWIN_TREES)
+def test_twin_skip_tree_size_on_complete_hosts(monkeypatch, n, pattern,
+                                               nodes):
+    g, h = complete_graph(n), named_graph(pattern)
+    r = h.chromatic_number() - 1
+    edges, masks = solvers._copy_masks(g, h)
+
+    def good(dele):
+        return Graph(n, [e for i, e in enumerate(edges)
+                         if not dele >> i & 1]).proper_colouring(r) is not None
+    twins = (edges, solvers._twin_mates(g), good)
+    tau = g.edge_count() - max_r_cut(g, r)[1]
+    monkeypatch.setattr(solvers, "NODE_CAP", nodes)
+    assert solvers._transversal_search(masks, tau, twins) == []
+    monkeypatch.setattr(solvers, "NODE_CAP", nodes - 1)
+    with pytest.raises(EnumerationCapError):
+        solvers._transversal_search(masks, tau, twins)
+
+
+def test_twin_route_loads_no_milp_solver():
+    # a fresh interpreter, so that no earlier test has imported either
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    code = ("import sys\n"
+            "from simonovits.graph import complete_graph, named_graph\n"
+            "from simonovits.solvers import is_simonovits\n"
+            "v = is_simonovits(complete_graph(11), named_graph('triangle'))\n"
+            "print(v.decision, v.optima_count, 'scipy' in sys.modules,\n"
+            "      'numpy' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert res.stdout.strip() == "yes 462 False False"
+
+
 # (n, p, stream seed, pattern, tau = e - best r-cut, minimum, nodes): a
 # G(n, p) host whose optimum beats its best cut, so the search meets a
 # smaller leaf and goes on to the minimum; the tree's size pins the
@@ -464,6 +505,117 @@ def test_enumeration_cap_gives_indeterminate(monkeypatch):
     assert v.decision == "indeterminate"
     assert "cap" in v.reason
     assert v.ex_size == 16 and v.best_rpartite == 16
+
+
+def _twins(g):
+    """mates[v]: the bitmask of v's twins, by definition."""
+    nbrs = [set(g.neighbours(v)) for v in range(g.n)]
+    return [sum(1 << u for u in range(g.n)
+                if u != v and nbrs[u] - {v} == nbrs[v] - {u})
+            for v in range(g.n)]
+
+
+def _route_agrees(g, h, listed=None):
+    """Whether the twin route, forced past its gate, decided g.  The gate,
+    _twin_mates, must give the twins exactly when every non-isolated
+    vertex has one; the route may answer only "yes", with the listing's
+    dict, and must decide every "yes".  listed, if given, is the listing's
+    dict recorded for g."""
+    mates = _twins(g)
+    gated = all(m or not a for m, a in zip(mates, g.adj))
+    assert solvers._twin_mates(g) == (mates if gated else None)
+    chi, critical = solvers._pattern_facts(h)
+    r = chi - 1
+    if ((not critical and g.proper_colouring(r) is None)
+            or free_edge_witness(g, h) is not None):
+        return False  # decided before either route
+    best_rp = max_r_cut(g, r)[1]
+    if listed is None:
+        listed = solvers._decide_by_listing(g, h, r, best_rp).as_dict()
+    routed = solvers._decide_up_to_twins(g, h, r, best_rp, mates)
+    if routed is None:
+        assert listed["decision"] != "yes"
+        return False
+    assert routed.as_dict() == listed
+    return True
+
+
+# K11 with C5 and K4: the listing's dicts, recorded, since listing 462 and
+# 5,775 optima takes seconds
+K11_LISTED = {
+    "c5": {"decision": "yes", "ex_size": 30, "best_rpartite": 30,
+           "optima_count": 462, "reason": "all optima r-partite"},
+    "k4": {"decision": "yes", "ex_size": 40, "best_rpartite": 40,
+           "optima_count": 5775, "reason": "all optima r-partite"}}
+
+
+@pytest.mark.parametrize("pattern", ["triangle", "c5", "k4"])
+def test_twin_route_matches_listing_on_complete_hosts(pattern):
+    h = named_graph(pattern)
+    decided = 0
+    for n in range(1, 12):
+        decided += _route_agrees(complete_graph(n), h,
+                                 K11_LISTED.get(pattern) if n == 11 else None)
+    for n in range(3, 11):
+        decided += _route_agrees(complete_graph(n).without_edge(0, 1), h)
+    for sizes in ([1, 2], [2, 2], [3, 3], [2, 3], [1, 1, 2], [2, 2, 2],
+                  [2, 3, 4], [3, 3, 3], [1, 2, 2, 3], [2, 2, 2, 2]):
+        decided += _route_agrees(complete_multipartite(sizes), h)
+    for m in range(3, 7):
+        decided += _route_agrees(blowup_plus(2, m), h)
+    # the route decides every "yes" of the 33 hosts, and only those
+    assert decided == {"triangle": 33, "c5": 22, "k4": 33}[pattern]
+
+
+def _blowup(seed):
+    """A seeded blow-up of a random base graph on 5 to 9 vertices: each
+    base vertex becomes a class of 1 to 3 true or false twins, at most 10
+    vertices in all and at least one class of two or more; one edge is
+    dropped in about a third of the hosts."""
+    rng = random.Random(seed)
+    b = rng.randint(5, 9)
+    p = rng.uniform(0.3, 0.9)
+    base = [e for e in all_pairs(b) if rng.random() < p]
+    sizes = [rng.choice((1, 1, 2, 2, 3)) for _ in range(b)]
+    while sum(sizes) > 10:
+        sizes[sizes.index(max(sizes))] -= 1
+    if max(sizes) == 1:
+        sizes[rng.randrange(b)] = 2
+    start = [0]
+    for size in sizes:
+        start.append(start[-1] + size)
+    cls = [range(start[i], start[i + 1]) for i in range(b)]
+    edges = []
+    for c in cls:
+        if rng.random() < 0.5:
+            edges += [(u, v) for u in c for v in c if u < v]
+    for i, j in base:
+        edges += [(u, v) for u in cls[i] for v in cls[j]]
+    if rng.random() < 1 / 3:
+        # spare the first class of two or more, so that its twins stay twins
+        twins = cls[[len(c) > 1 for c in cls].index(True)]
+        spare = [e for e in edges if e[0] not in twins and e[1] not in twins]
+        if spare:
+            edges.remove(rng.choice(spare))
+    return Graph(start[-1], edges)
+
+
+BLOWUP_PATTERNS = ["triangle", "c5", "k4", "bowtie"]
+
+
+# 1,000 blow-ups, seed s decided against BLOWUP_PATTERNS[s % 4]
+@pytest.mark.parametrize("pattern", BLOWUP_PATTERNS)
+def test_twin_route_matches_listing_on_blowups(pattern):
+    h = SEARCH_PATTERNS[pattern]
+    decided = 0
+    for seed in range(BLOWUP_PATTERNS.index(pattern), 1000, 4):
+        g = _blowup(seed)
+        assert any(_twins(g))
+        decided += _route_agrees(g, h)
+    # the "yes" hosts; the bowtie is not edge-critical, so most of its
+    # hosts are "no" before either route
+    assert decided == {"triangle": 192, "c5": 185, "k4": 202,
+                       "bowtie": 8}[pattern]
 
 
 def _brute_force_verdict(g, h):
@@ -560,7 +712,7 @@ def test_simonovits_non_critical_pattern():
 def test_dense_peel_on_complete_graph():
     info, is_rp = dense_peel(complete_graph(10), K3)
     assert is_rp
-    assert info["peeled_subgraph"].is_bipartite()
+    assert is_bipartite(info["peeled_subgraph"])
 
 
 def test_augment_rpartite_extends():
@@ -568,7 +720,7 @@ def test_augment_rpartite_extends():
     part = PartTuple.from_assignment([0, 1, -1, -1, -1, -1], 2)
     full_part, crossing = augment_rpartite(g, part)
     assert full_part.is_complete()
-    assert crossing.is_bipartite()
+    assert is_bipartite(crossing)
     # the crossing subgraph keeps the original part's edge and grows
     assert crossing.has_edge(0, 1)
     assert crossing.edge_count() >= 4
