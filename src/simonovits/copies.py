@@ -8,6 +8,7 @@ graphs and cuts use for their edge sets; the helpers take any family of
 bitmasks.
 """
 
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -86,7 +87,10 @@ def embeddings(h, host, fixed=None):
             yield from rec(i + 1)
             used ^= b
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        rec = None      # the closure refers to itself; free it with the call
 
 
 def count_embeddings(h, host, fixed=None):
@@ -100,30 +104,77 @@ def automorphism_count(h):
     return count_embeddings(h, h)
 
 
+@functools.lru_cache(maxsize=16)
+def _leader_plan(h):
+    """(order, back, above) for enumerate_copies, once per pattern: the
+    order b_0, b_1, ... of _embedding_order, the earlier neighbours of each
+    b_i, and for each b_j the earlier b_i whose image must lie below its
+    own.  Those are the b_i with b_j in O_i, the orbit of b_i under the
+    automorphisms fixing b_0..b_{i-1}, which can only move b_i later.  One
+    search per b_j finds such an automorphism, so Aut(h) is never listed.
+    """
+    order = _embedding_order(h)
+    back = [tuple(w for w in h.neighbours(v) if w in order[:i])
+            for i, v in enumerate(order)]
+    above = [[] for _ in order]
+    fixed = {}
+    for i, v in enumerate(order):
+        for j in range(i + 1, len(order)):
+            fixed[v] = (order[j],)
+            if next(embeddings(h, h, fixed), None) is not None:
+                above[j].append(v)
+        fixed[v] = (v,)
+    return order, back, [tuple(a) for a in above]
+
+
 def enumerate_copies(h, host):
     """All subgraphs of host isomorphic to h, each as a frozenset of
     (u, v) edge pairs with u < v, in the iteration order of the deduping
     set: fixed for a CPython build, and followed by the optimum listing's
     branching and the first non-r-partite certificate.
 
-    Each embedding is keyed by a symmetric mask over host vertex pairs,
-    and the frozenset is built only for a new key.  A set's order depends
-    only on which distinct elements went in and in what order, so skipping
-    the embeddings of a copy already seen leaves it unchanged."""
+    Embeddings are visited depth first, images ascending in
+    _embedding_order's vertex order, and only the lex-least one in each
+    Aut(h) orbit, the orbit leader, is kept: for each i, b_i's image is
+    below the images of its orbit under the automorphisms fixing
+    b_0..b_{i-1} (_leader_plan).  The order is the one a walk over every
+    embedding gives.  That walk first meets each copy at the lex-least
+    embedding with its edge set, which is a leader, and the leaders come
+    in the same order; a set's order depends only on which distinct
+    elements went in and in what order.  Without isolated vertices each
+    copy has one leader; with them the set drops the extra ones."""
+    if h.n > host.n:
+        return []
+    if not h.n:
+        return [frozenset()]
+    order, back, above = _leader_plan(h)
     edges = h.edges()
-    n = host.n
-    pair = [1 << (a * n + b) | 1 << (b * n + a)
-            for a in range(n) for b in range(n)]
-    keys = set()
+    adj = host.adj
+    image = [0] * h.n
+    last = len(order) - 1
     seen = set()
-    for img in embeddings(h, host):
-        key = 0
-        for (u, v) in edges:
-            key |= pair[img[u] * n + img[v]]
-        if key not in keys:
-            keys.add(key)
-            seen.add(frozenset(tuple(sorted((img[u], img[v])))
-                               for (u, v) in edges))
+
+    def rec(i, free):
+        v = order[i]
+        cand = free
+        for w in back[i]:
+            cand &= adj[image[w]]
+        for w in above[i]:
+            cand &= -2 << image[w]
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            image[v] = b.bit_length() - 1
+            if i < last:
+                rec(i + 1, free ^ b)
+            else:
+                seen.add(frozenset([(image[u], image[w])
+                                    if image[u] < image[w]
+                                    else (image[w], image[u])
+                                    for (u, w) in edges]))
+
+    rec(0, (1 << host.n) - 1)
+    rec = None      # the closure refers to itself; free it with the call
     return list(seen)
 
 

@@ -213,7 +213,9 @@ class Graph:
                     colour[v] = -1
             return False
 
-        return colour if rec(0, -1) else None
+        found = rec(0, -1)
+        rec = None      # the closure refers to itself and self
+        return colour if found else None
 
 
 def bitset_members(mask):

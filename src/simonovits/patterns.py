@@ -95,6 +95,7 @@ def pi_coefficient(h):
         c[a] = c[b] = 0
         count += colourings([u for u in range(h.n) if u != a and u != b])
         c[a] = c[b] = None
+    colourings = None   # the closure refers to itself; free it with the call
     return Fraction(2 * count, aut)
 
 

@@ -102,7 +102,10 @@ def _max_cut_search(g, r, leaf=None):
                 max(used, c + 1))
             parts[c] ^= 1 << v
 
-    rec(0, 0, 0)
+    try:
+        rec(0, 0, 0)
+    finally:
+        rec = None      # the closure refers to itself; free it with the call
     return best_assign, best_val
 
 
@@ -201,6 +204,9 @@ def _copy_masks(g, h):
     load-bearing: the MILP's rows follow it, and HiGHS returns another
     witness when its rows are reordered, so reordering the copies changes
     the witness-derived outputs (pif-balanced cut sizes) on some hosts.
+    Visiting only orbit leaders kept that order: each copy still enters
+    the set first, and in the same turn, at the lex-least embedding with
+    its edges.
     """
     edges = tuple(g.edges())
     pos = {e: i for i, e in enumerate(edges)}
@@ -366,7 +372,10 @@ def _transversal_search(masks, tau, twins=None):
             if cls[0]:
                 return  # every later child keeps a whole mask
 
-    rec(cls, 0, 0, 0)
+    try:
+        rec(cls, 0, 0, 0)
+    finally:
+        rec = None      # the closure refers to itself; free it with the call
     return sols
 
 
@@ -461,7 +470,8 @@ def max_H_free(g, h):
     dele = _min_transversal_milp(masks, len(edges))
     witness = Graph(g.n, [e for i, e in enumerate(edges)
                           if not dele >> i & 1])
-    if enumerate_copies(h, witness):
+    # every copy of h in the witness is a copy in g: each must lose an edge
+    if not all(m & dele for m in masks):
         raise AssertionError("witness is not h-free")
     return g.edge_count() - dele.bit_count(), witness
 

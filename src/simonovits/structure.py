@@ -208,6 +208,7 @@ def _max_bounded_subgraph(i, cap, exact_limit=24):
             rec(idx + 1, deg, kept, cnt)
 
         rec(0, [0] * i.n, 0, 0)
+        rec = None      # the closure refers to itself; free it with the call
         keep = [e for k, e in enumerate(edges) if best[1] >> k & 1]
         return Graph(i.n, keep), "exact"
     # greedy peel: drop edges at over-cap vertices, heaviest endpoints first

@@ -11,6 +11,7 @@ from simonovits.graph import (Graph, ColoredGraph, complete_graph,
                               cycle_graph, petersen_graph, named_graph,
                               graph_from_spec, all_pairs,
                               pair_mask)
+from simonovits import copies
 from simonovits.copies import (embeddings, count_embeddings,
                                automorphism_count, enumerate_copies,
                                count_copies, are_isomorphic,
@@ -381,7 +382,11 @@ def _reference_enumerate_copies(h, host):
     return list(seen)
 
 
-COPY_PATTERNS = dict(RESIDUAL_PATTERNS, c4=cycle_graph(4))
+COPY_PATTERNS = dict(RESIDUAL_PATTERNS, c4=cycle_graph(4),
+                     # orbit leaders that differ only on isolated vertices
+                     # give one copy, so the set drops all but the first
+                     isolated=graph_from_spec("4:0-1,0-2,1-2"),
+                     disconnected=graph_from_spec("5:0-1,0-2,1-2,3-4"))
 
 
 # the optimum listing branches, and certifies, in this order
@@ -394,3 +399,22 @@ def test_enumerate_copies_matches_per_embedding_frozensets(pattern):
         for g in hosts + [complete_graph(n), Graph(n)]:
             assert (enumerate_copies(h, g)
                     == _reference_enumerate_copies(h, g)), g.edges()
+
+
+@pytest.mark.parametrize("pattern", sorted(set(COPY_PATTERNS)
+                                           - {"isolated"}))
+def test_enumerate_copies_builds_one_frozenset_per_copy(pattern, monkeypatch):
+    # with no isolated vertex each copy has exactly one orbit leader, and
+    # only the leaders build a frozenset
+    h = COPY_PATTERNS[pattern]
+    built = []
+
+    def counted(items):
+        built.append(1)
+        return frozenset(items)
+    monkeypatch.setattr(copies, "frozenset", counted, raising=False)
+    for n in range(4, 10):
+        for g in (sample_gnp(n, 0.6, RngStream(n, 1)), complete_graph(n)):
+            built.clear()
+            found = enumerate_copies(h, g)
+            assert len(built) == len(found) == count_copies(h, g)

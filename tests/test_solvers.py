@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import random
@@ -365,6 +366,32 @@ def test_cut_optimal_host_needs_no_milp(monkeypatch):
 # ex = 7 (delete 0-3) beats the best bipartite subgraph, 6 edges
 ABOVE_CUT_SPEC = "6:0-1,0-2,0-3,0-4,1-3,2-5,3-4,3-5"
 ABOVE_CUT = parse_inline(ABOVE_CUT_SPEC)
+
+
+def test_decisions_leave_no_cyclic_garbage():
+    # the searches' self-referencing closures are freed with their calls
+    hosts = [(complete_graph(9), cycle_graph(5)),
+             (sample_gnp(10, 0.5, RngStream(3, 0)), K3),
+             (ABOVE_CUT, K3)]                # ex > best_rp
+    for g, h in hosts:
+        is_simonovits(g, h)                 # warm-up: caches, lazy imports
+    gc.collect()
+    gc.disable()
+    try:
+        # consecutive hosts differ, so each decision enumerates its copies
+        for g, h in hosts:
+            is_simonovits(g, h)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_max_H_free_checks_its_witness(monkeypatch):
+    # a deletion set that leaves a copy whole is refused
+    monkeypatch.setattr(solvers, "_min_transversal_milp",
+                        lambda masks, n_vars: 1)
+    with pytest.raises(AssertionError, match="not h-free"):
+        max_H_free(complete_graph(4), K3)
 
 
 @pytest.mark.parametrize("capped", [False, True])
