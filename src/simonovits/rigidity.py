@@ -6,10 +6,13 @@ a digit array with one row per assignment, sorted, in which the columns of
 coloured vertices hold their pinned parts, and a packed matrix of their
 crossing masks (64-bit words) so that one numpy popcount scores every cut;
 rigidity depends on the full argmax set, so enumeration is exact with a
-hard guard and never sampled.
+hard guard and never sampled.  A switching run scores its family once and
+then moves the scores by the pairs each step changes.
 """
 
 import bisect
+import collections
+import functools
 import math
 import random
 
@@ -17,7 +20,8 @@ from .graph import Graph, PartTuple, ColoredGraph, TooLargeError, \
     pair_mask, bitset_members, assignment_chunks
 from .bounds import PAPER_DEFAULTS
 
-FAMILY_GUARD = 10 ** 8
+FAMILY_GUARD = 10 ** 8          # assignments enumerated
+FAMILY_BYTES = 2 ** 30          # bytes kept
 _WORD = (1 << 64) - 1
 
 
@@ -31,14 +35,16 @@ class CutFamily:
     one row of part digits per assignment; ``_words`` holds the crossing
     pairs of each assignment, in ``edge_index`` order, packed into 64-bit
     words (one row per word, one column per assignment), so that
-    ``values`` scores every cut with one popcount per word.  Both are
-    allocated once, at the size the balance window allows.
+    ``values`` scores every cut with one popcount per word; ``_planes``
+    holds the same bits one byte plane per row (pair e is bit e & 7 of
+    plane e >> 3), so that ``update`` reads a pair's crossing column from
+    contiguous bytes.  All are allocated once, at the size the balance
+    window allows, after two guards: at most ``FAMILY_GUARD``
+    assignments enumerated and at most ``FAMILY_BYTES`` kept.
     """
 
     def __init__(self, n, r, delta, q=None):
         import numpy as np
-        if r ** n > FAMILY_GUARD:
-            raise TooLargeError("cut family too large: %d^%d" % (r, n))
         self.n = n
         self.r = r
         lo = (1 - delta) * n / r
@@ -51,14 +57,23 @@ class CutFamily:
             if k >= r:
                 raise ValueError("empty cut family")
             base[k] += 1
+        if r ** len(free) > FAMILY_GUARD:
+            raise TooLargeError("cut family too large: %d^%d assignments "
+                                "to enumerate" % (r, len(free)))
         total = _balanced_count(len(free), r, lambda k, s:
                                 lo <= base[k] + s <= hi)
         if not total:
             raise ValueError("empty cut family")
+        n_words = max(1, -(-(n * (n - 1) // 2) // 64))
+        digit = np.min_scalar_type(r - 1)
+        row_bytes = n * digit.itemsize + 16 * n_words
+        if total * row_bytes > FAMILY_BYTES:
+            raise TooLargeError("cut family too large: %d cuts of %d bytes"
+                                % (total, row_bytes))
         us, vs = np.triu_indices(n, 1)      # pairs in edge_index order
-        n_words = max(1, -(-len(us) // 64))
-        self.assignments = np.empty((total, n), np.min_scalar_type(r - 1))
+        self.assignments = np.empty((total, n), digit)
         self._words = np.empty((n_words, total), np.uint64)
+        self._planes = np.empty((8 * n_words, total), np.uint8)
         row = np.array([pinned.get(v, 0) for v in range(n)],
                        self.assignments.dtype)
         at = 0
@@ -76,6 +91,7 @@ class CutFamily:
             packed = np.packbits(cross, axis=1, bitorder="little")
             self.assignments[at:end] = digits
             self._words[:, at:end] = packed.view("<u8").T
+            self._planes[:, at:end] = packed.T
             at = end
 
     def __len__(self):
@@ -105,6 +121,16 @@ class CutFamily:
             vals += np.bitwise_count(col & word)
         return vals
 
+    def update(self, vals, old_mask, new_mask):
+        """Turn vals, the scores of old_mask, into the scores of new_mask in
+        place: a pair that left takes its crossing column off and a pair
+        that entered adds it.  Exact for any two masks; the column of pair
+        e is ``(_words[e >> 6] >> (e & 63)) & 1``, read from its plane."""
+        for e in bitset_members(old_mask & ~new_mask):
+            vals -= (self._planes[e >> 3] >> (e & 7)) & 1
+        for e in bitset_members(new_mask & ~old_mask):
+            vals += (self._planes[e >> 3] >> (e & 7)) & 1
+
     def b_value(self, g_mask):
         return int(self.values(g_mask).max())
 
@@ -117,7 +143,7 @@ class CutFamily:
         """Bitmask of the pairs that cross every cut in ids (nonempty)."""
         import numpy as np
         words = np.bitwise_and.reduce(self._words[:, ids], axis=1)
-        return sum(int(w) << (64 * i) for i, w in enumerate(words))
+        return int.from_bytes(words.astype("<u8").tobytes(), "little")
 
 
 def _balanced_count(f, r, allowed):
@@ -140,10 +166,14 @@ def deficit(cut, g, fam):
 
 
 def _equivalence_classes(fam, maxcut_ids):
-    """Vertices grouped by their part in every cut of maxcut_ids."""
+    """Vertices grouped by their part in every cut of maxcut_ids: each
+    vertex's column of the cuts' rows is one opaque numpy key."""
+    import numpy as np
+    cols = np.ascontiguousarray(fam.assignments[maxcut_ids].T)
+    keys = cols.view(np.dtype((np.void, cols.shape[1] * cols.itemsize)))
     sig = {}
-    for v, col in enumerate(fam.assignments[maxcut_ids].T):
-        sig.setdefault(col.tobytes(), []).append(v)
+    for v, key in enumerate(keys.ravel().tolist()):
+        sig.setdefault(key, []).append(v)
     return sorted(sig.values(), key=lambda c: (-len(c), c))
 
 
@@ -223,81 +253,95 @@ class SwitchTrace:
         self.params = params
 
 
-def _q_in_core(q, core):
-    """Every nonempty colour class of q inside some core class."""
-    if core is None:
-        return False
-    colour = q.colour
-    r = core.r()
-    for k in range(1, r + 1):
-        vk = [v for v, c in enumerate(colour) if c == k]
-        if not vk:
-            continue
-        if not any(set(vk) <= set(part) for part in core.parts):
-            return False
-    return True
+def _q_in_core(colours, core):
+    """Every colour class of the structure inside some core class."""
+    return core is not None and all(
+        any(vk <= part for part in core.parts) for vk in colours)
 
 
-def _switch_branch(fam, q, q_mask, ext_cut, g_mask, f_mask, resid_masks,
-                   m, gamma_n2p, alpha):
-    """Evaluate the branch conditions at one state, whose cut crosses the
-    pairs of ext_cut.  Returns (type, sorted choice list of edge indices or
-    None, maximum cut value of g_mask | f_mask)."""
-    union = g_mask | f_mask
-    b, ids = fam.maxcut_ids(union)
-    crit = union & fam.crossed_by_all(ids)
+_SwitchRun = collections.namedtuple("_SwitchRun", (
+    "fam", "q_mask", "ext_cut", "int_mask", "resid_masks", "colours",
+    "vertex_pairs", "m", "gamma_n2p", "alpha"))
+
+
+def _switch_inputs(q, cut, fam, fam_resid, m, gamma_n2p, alpha):
+    """The constants of the branch logic for runs from a cut of the family:
+    q's edge mask, the cut's crossing and internal pairs, the residual
+    family as masks, the nonempty colour classes of q, and the pairs that
+    touch each vertex."""
+    if isinstance(q, Graph):
+        q = ColoredGraph(q, [1 if q.degree(v) else 0 for v in range(q.n)])
+    # index_of refuses a cut outside the family
+    ext_cut = fam.crossed_by_all([fam.index_of(cut)])
     n = fam.n
+    classes = [frozenset(v for v, c in enumerate(q.colour) if c == k)
+               for k in range(1, fam.r + 1)]
+    colours = [vk for vk in classes if vk]
     # internal pairs of the cut: its crossing pairs' complement within K_n
     int_mask = ((1 << (n * (n - 1) // 2)) - 1) & ~ext_cut
+    return _SwitchRun(fam, q.graph.edge_mask(), ext_cut, int_mask,
+                      fam_resid.family, colours, _vertex_pairs(n), m,
+                      gamma_n2p, alpha)
+
+
+@functools.lru_cache(maxsize=None)
+def _vertex_pairs(n):
+    """The pairs of K_n that touch each vertex, as masks."""
+    return tuple(pair_mask(n, ((u, w) for w in range(n) if w != u))
+                 for u in range(n))
+
+
+def _switch_branch(run, g_mask, f_mask, vals):
+    """Evaluate the branch conditions at one state from vals, the scores
+    of its union g_mask | f_mask over the family; callers score the first
+    state of a trace and carry the scores to each next one by the pairs
+    that changed (``CutFamily.update``).  Returns (type, sorted choice list
+    of edge indices or None, maximum cut value of the union)."""
+    import numpy as np
+    fam = run.fam
+    union = g_mask | f_mask
+    b = int(vals.max())
+    ids = np.flatnonzero(vals == b)
+    crit = union & fam.crossed_by_all(ids)
+    int_mask = run.int_mask
     x_union = 0
     inside = g_mask & crit
-    for w in resid_masks:
+    for w in run.resid_masks:
         if not w & ~inside:
             x_union |= w & int_mask
-    if x_union.bit_count() >= m:
+    if x_union.bit_count() >= run.m:
         return "a", bitset_members(x_union), b
-    if (crit & int_mask).bit_count() >= gamma_n2p:
-        choice = (g_mask & crit & int_mask) & ~q_mask
+    if (crit & int_mask).bit_count() >= run.gamma_n2p:
+        choice = (g_mask & crit & int_mask) & ~run.q_mask
         return "b", bitset_members(choice), b
-    rep = _rigidity(fam, b, ids, alpha)
+    rep = _rigidity(fam, b, ids, run.alpha)
     if not rep["rigid"]:
-        choice = (g_mask & int_mask) & ~(crit | q_mask)
+        choice = (g_mask & int_mask) & ~(crit | run.q_mask)
         return "c", bitset_members(choice), b
     core = rep["core"]
-    if core is not None and _q_in_core(q, core):
+    if _q_in_core(run.colours, core):
         return "e", None, b
     if core is None:
         return "stuck", None, b
     # step (d): smallest k whose colour class agrees with some core part in
     # at least one but not all maximum cuts
     maxcuts = fam.assignments[ids]
-    for k in range(1, fam.r + 1):
-        vk = [v for v, c in enumerate(q.colour) if c == k]
-        if not vk:
-            continue
-        rep_v = vk[0]
-        eligible_parts = []
-        for part in core.parts:
-            agree = maxcuts[:, rep_v] == maxcuts[:, min(part)]
-            if agree.any() and not agree.all():
-                eligible_parts.append(part)
-        if eligible_parts:
-            target = set().union(*eligible_parts)
-            pairs = pair_mask(n, ((u, w) for u in vk for w in target
-                                  if u != w))
+    heads = maxcuts[:, [min(part) for part in core.parts]]
+    for vk in run.colours:
+        agree = heads == maxcuts[:, [min(vk)]]
+        eligible = (agree.any(axis=0) & ~agree.all(axis=0)).tolist()
+        if any(eligible):
+            target = set().union(*(part for part, ok
+                                   in zip(core.parts, eligible) if ok))
+            rows = run.vertex_pairs
+            pairs = 0
+            for u in vk:
+                for w in target - {u}:
+                    pairs |= rows[u] & rows[w]      # the pair {u, w}
             # crossing pairs of the cut that are in neither G nor F
-            addable = ext_cut & ~union
+            addable = run.ext_cut & ~union
             return "d", bitset_members(pairs & addable), b
     return "stuck", None, b
-
-
-def _switch_inputs(q, cut, fam, fam_resid):
-    """(q as a ColoredGraph, its edge mask, the cut's crossing pairs, the
-    residual family as masks) for a cut of the family."""
-    if isinstance(q, Graph):
-        q = ColoredGraph(q, [1 if q.degree(v) else 0 for v in range(q.n)])
-    fam.index_of(cut)                   # refuses a cut outside the family
-    return q, q.graph.edge_mask(), cut.ext_mask(), fam_resid.family
 
 
 def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0,
@@ -308,27 +352,28 @@ def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0,
     partition; fam_resid: residual family (subsets of non-q pairs of K_n);
     fam: the CutFamily; m: the step-(a) threshold.  Removals and additions
     are drawn uniformly from the sorted choice sets via the seeded stream.
+    The family is scored once, and each step moves the scores by the one
+    pair it changed.
     """
-    q, q_mask, ext_cut, resid_masks = _switch_inputs(q, cut, fam, fam_resid)
     n = g0.n
     if p is None:
         p = g0.edge_count() / (n * (n - 1) / 2)
     r = fam.r
     if gamma is None:
         gamma = constants.alpha / (24 * r)
-    gamma_n2p = gamma * n * n * p
+    run = _switch_inputs(q, cut, fam, fam_resid, m, gamma * n * n * p,
+                         constants.alpha)
     g_mask = g0.edge_mask()
-    if q_mask & ~g_mask:
+    if run.q_mask & ~g_mask:
         raise ValueError("structure not contained in the start graph")
     rng = random.Random(seed)
     params = {"m": m, "L": L, "gamma": gamma, "seed": seed, "p": p,
               "alpha": constants.alpha}
     trace = SwitchTrace(n, g_mask, params)
     f_mask = 0
+    vals = fam.values(g_mask)
     for i in range(L):
-        typ, choice, _ = _switch_branch(fam, q, q_mask, ext_cut, g_mask,
-                                        f_mask, resid_masks, m, gamma_n2p,
-                                        constants.alpha)
+        typ, choice, _ = _switch_branch(run, g_mask, f_mask, vals)
         if typ == "e":
             trace.terminal = {"reason": "e", "steps": i}
             break
@@ -337,10 +382,12 @@ def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0,
             break
         pos = rng.randrange(len(choice))
         e_idx = choice[pos]
+        union = g_mask | f_mask
         if typ == "d":
             f_mask |= 1 << e_idx
         else:
             g_mask &= ~(1 << e_idx)
+        fam.update(vals, union, g_mask | f_mask)
         trace.steps.append({"i": i, "type": typ, "edge": e_idx,
                             "choice_size": len(choice), "rng_pos": pos})
         trace.g_masks.append(g_mask)
@@ -361,17 +408,28 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, gamma=None,
     overall; (iv) at most r^2(d+1) addition steps, runs of consecutive
     additions at most r^2, and an addition step never immediately followed
     by type c.  Also confirms each step's type matches the first applicable
-    branch and its edge belongs to the recomputed choice set.
+    branch and its edge belongs to the recomputed choice set.  The first
+    recorded state is scored afresh and each later one from the previous
+    one's scores by the pairs where the two recorded unions differ, so
+    every state is scored as ``CutFamily.values`` would score it.  A trace
+    without one G and one F mask per state fails with no other check.
     Returns {"ok": bool, "violations": [...]}.
     """
-    q, q_mask, ext_cut, resid_masks = _switch_inputs(q, cut, fam, fam_resid)
     n = trace.n
     r = fam.r
     if p is None:
         p = trace.params.get("p")
     if gamma is None:
         gamma = trace.params.get("gamma", constants.alpha / (24 * r))
-    gamma_n2p = gamma * n * n * p
+    run = _switch_inputs(q, cut, fam, fam_resid, m, gamma * n * n * p,
+                         constants.alpha)
+    states = len(trace.steps) + 1
+    if len(trace.g_masks) != states or len(trace.f_masks) != states:
+        return {"ok": False, "violations": [(
+            "total", "%d states with %d G and %d F masks" % (
+                states, len(trace.g_masks), len(trace.f_masks)))],
+                "ab_steps": 0, "d_steps": 0}
+    ext_cut = run.ext_cut
     violations = []
     g0 = trace.g0_mask
     e0 = g0.bit_count()
@@ -380,12 +438,16 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, gamma=None,
     d_run = 0
     prev_type = None
     prev_def = None
+    prev_union = None
     for idx, step in enumerate(trace.steps):
         g_mask = trace.g_masks[idx]
         f_mask = trace.f_masks[idx]
-        typ, choice, b = _switch_branch(fam, q, q_mask, ext_cut, g_mask,
-                                        f_mask, resid_masks, m, gamma_n2p,
-                                        constants.alpha)
+        union = g_mask | f_mask
+        if idx:
+            fam.update(vals, prev_union, union)
+        else:
+            vals = fam.values(union)
+        typ, choice, b = _switch_branch(run, g_mask, f_mask, vals)
         if typ != step["type"]:
             violations.append((idx, "branch mismatch: recomputed %s, "
                                "recorded %s" % (typ, step["type"])))
@@ -404,7 +466,7 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, gamma=None,
         if not ok:
             violations.append((idx, "state transition inconsistent"))
             break
-        cur_def = b - ((g_mask | f_mask) & ext_cut).bit_count()
+        cur_def = b - (union & ext_cut).bit_count()
         if prev_def is not None:
             if cur_def > prev_def:
                 violations.append((idx, "deficit increased"))
@@ -424,10 +486,11 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, gamma=None,
             d_run = 0
         prev_type = typ
         prev_def = cur_def
+        prev_union = union
     # terminal state checks
     g_t = trace.g_masks[-1]
     f_t = trace.f_masks[-1]
-    if q_mask & ~g_t:
+    if run.q_mask & ~g_t:
         violations.append(("terminal", "structure not contained in G_t"))
     for i in range(len(trace.g_masks)):
         gi, fi = trace.g_masks[i], trace.f_masks[i]

@@ -42,6 +42,28 @@ def test_cut_family_guard():
         CutFamily(40, 2, 0.4)
 
 
+def test_cut_family_guard_refuses_by_bytes_before_enumerating(monkeypatch):
+    # 2^26 assignments are within the enumeration guard, but the ~6.7e7
+    # kept cuts of 122 bytes each are not within the byte budget
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated a refused family")
+
+    monkeypatch.setattr(rigidity, "assignment_chunks", enumerate_nothing)
+    assert 2 ** 26 <= rigidity.FAMILY_GUARD
+    with pytest.raises(TooLargeError, match="bytes"):
+        CutFamily(26, 2, 0.4)
+
+
+def test_cut_family_guard_counts_only_uncoloured_vertices(monkeypatch):
+    # the enumeration guard bounds r^f for the f uncoloured vertices
+    q = _q_pair(10)
+    ref = CutFamily(10, 2, 0.4, q=q).assignments
+    monkeypatch.setattr(rigidity, "FAMILY_GUARD", 2 ** 8)
+    with pytest.raises(TooLargeError, match=r"2\^10"):
+        CutFamily(10, 2, 0.4)
+    assert (CutFamily(10, 2, 0.4, q=q).assignments == ref).all()
+
+
 def _reference_family(n, r, delta, forced):
     """The itertools.product loop that built CutFamily before it moved to
     numpy chunks: (assignments, crossing masks)."""
@@ -366,31 +388,150 @@ def test_validator_catches_budget_overrun():
         assert not res["ok"]
 
 
-def test_switch_branch_scores_each_state_once(monkeypatch):
-    tr, q, cut, fam, fam_resid, p = _find_stepped_trace()
+def _spy_scores(monkeypatch):
+    """Record every full scoring and, for every state _switch_branch sees,
+    (union, its scores as received, what it returned)."""
     values = CutFamily.values
-    calls = []
+    branch = rigidity._switch_branch
+    full, seen = [], []
 
     def counted(self, g_mask):
-        calls.append(g_mask)
+        full.append(g_mask)
         return values(self, g_mask)
 
+    def spied(run, g_mask, f_mask, vals):
+        got = vals.copy()
+        out = branch(run, g_mask, f_mask, vals)
+        seen.append((g_mask | f_mask, got, out))
+        return out
+
     monkeypatch.setattr(CutFamily, "values", counted)
-    n = tr.n
-    gamma_n2p = tr.params["gamma"] * n * n * p
-    types = []
-    for g_mask, f_mask in zip(tr.g_masks, tr.f_masks):
-        calls.clear()
-        typ, _, b = rigidity._switch_branch(
-            fam, q, q.graph.edge_mask(), cut.ext_mask(), g_mask, f_mask,
-            fam_resid.family, 2, gamma_n2p, tr.params["alpha"])
-        assert calls == [g_mask | f_mask]
-        assert b == values(fam, g_mask | f_mask).max()
-        types.append(typ)
+    monkeypatch.setattr(rigidity, "_switch_branch", spied)
+    return values, full, seen
+
+
+def _assert_fresh(fam, values, seen):
+    for union, got, (_, _, b) in seen:
+        fresh = values(fam, union)
+        assert got.dtype == fresh.dtype and (got == fresh).all()
+        assert b == fresh.max()
+
+
+def test_switch_branch_scores_each_state_once(monkeypatch):
+    # _switch_branch receives each state's scores: the family is scored in
+    # full once per run and once per validation, and every later state's
+    # scores are carried by the pairs that changed, equal to a fresh
+    # scoring of that state's union
+    tr, q, cut, fam, fam_resid, p = _find_stepped_trace()
+    seed = tr.params["seed"]
+    g = sample_gnp(tr.n, p, RngStream(88, seed)).with_edge(0, 1)
+    unions = [gm | fm for gm, fm in zip(tr.g_masks, tr.f_masks)]
+    values, full, seen = _spy_scores(monkeypatch)
+    again = run_switching(g, q, cut, fam_resid, fam, m=2, L=200, seed=seed,
+                          p=p)
+    assert again.g_masks == tr.g_masks and again.f_masks == tr.f_masks
+    assert full == [tr.g0_mask]
+    # the run branches at every state, the last one included unless it
+    # ran out of rounds
+    assert [u for u, _, _ in seen] == unions[:len(seen)]
+    assert len(seen) == len(tr.steps) + (tr.terminal["reason"] != "L")
+    _assert_fresh(fam, values, seen)
     # states past branches a and b ran the rigidity step on the same scores
-    assert set(types) - {"a", "b"}, types
-    calls.clear()
+    types = {typ for _, _, (typ, _, _) in seen}
+    assert types - {"a", "b"}, types
+    full.clear()
+    seen.clear()
     res = validate_trace(tr, q, cut, d=60, fam=fam, fam_resid=fam_resid,
                          m=2, p=p)
     assert res["ok"]
-    assert len(calls) == len(tr.steps)
+    assert full == [unions[0]]
+    assert [u for u, _, _ in seen] == unions[:-1]
+    _assert_fresh(fam, values, seen)
+
+
+SWITCH_CASES = [(K3, 12, 2, 0.5), (K3, 16, 2, 0.5),
+                (complete_graph(4), 12, 3, 0.7)]
+
+
+@pytest.mark.parametrize("h,n,r,p", SWITCH_CASES)
+def test_carried_scores_match_fresh_scoring(monkeypatch, h, n, r, p):
+    # differential: along seeded traces, the scores carried from state to
+    # state, in the run and in its validation, equal CutFamily.values
+    q = _q_pair(n)
+    fam = CutFamily(n, r, 0.4, q=q)
+    fam_resid, _ = residual_family(h, q, n, "low")
+    values, full, seen = _spy_scores(monkeypatch)
+    steps = 0
+    for t in range(4):
+        g = sample_gnp(n, p, RngStream(91, t)).with_edge(0, 1)
+        vals = values(fam, g.edge_mask())
+        order = sorted(range(len(fam)), key=lambda i: vals[i])
+        cut = fam.cut(order[t * len(order) // 4])
+        full.clear()
+        seen.clear()
+        tr = run_switching(g, q, cut, fam_resid, fam, m=3, L=200, seed=t,
+                           p=p)
+        res = validate_trace(tr, q, cut, d=n * n, fam=fam,
+                             fam_resid=fam_resid, m=3, p=p)
+        assert res["ok"], res["violations"]
+        assert len(full) == 1 + bool(tr.steps)
+        _assert_fresh(fam, values, seen)
+        steps += len(tr.steps)
+    assert steps >= 8
+
+
+def test_validator_scores_a_jump_of_several_pairs_exactly(monkeypatch):
+    # a recorded state two pairs away from its predecessor: the validator
+    # flags the transition before it would branch there, every state it
+    # does branch at is scored as a fresh scoring would, and the carried
+    # update across the jump equals a fresh scoring of the jumped state
+    tr, q, cut, fam, fam_resid, p = _find_stepped_trace()
+    u0 = tr.g_masks[0] | tr.f_masks[0]
+    other = next(e for e in range(1, 64) if not (u0 >> e) & 1)
+    tr.g_masks[1] ^= 1 | (1 << other)
+    u1 = tr.g_masks[1] | tr.f_masks[1]
+    assert (u0 ^ u1).bit_count() >= 2
+    values, full, seen = _spy_scores(monkeypatch)
+    bad = validate_trace(tr, q, cut, d=60, fam=fam, fam_resid=fam_resid,
+                         m=2, p=p)
+    assert not bad["ok"]
+    assert (0, "state transition inconsistent") in bad["violations"]
+    assert seen and full == [u0]
+    _assert_fresh(fam, values, seen)
+    vals = values(fam, u0)
+    fam.update(vals, u0, u1)
+    assert (vals == values(fam, u1)).all()
+
+
+@pytest.mark.parametrize("n,r,delta,coloured", [
+    (6, 2, 0.4, False), (12, 3, 0.4, True), (12, 2, 0.4, False),
+    (3, 257, 257, "1:200,2:257")])
+def test_cut_family_update_matches_values(n, r, delta, coloured):
+    fam = CutFamily(n, r, delta, q=_coloured(n, coloured)[0])
+    rng = random.Random(n * 31 + r)
+    pairs = n * (n - 1) // 2
+    old = rng.getrandbits(pairs)
+    vals = fam.values(old)
+    for flips in (0, 1, 1, 2, 5, pairs):
+        new = old ^ sum(1 << e for e in rng.sample(range(pairs),
+                                                   min(flips, pairs)))
+        before = vals
+        fam.update(vals, old, new)
+        assert vals is before and vals.dtype == fam.values(new).dtype
+        assert vals.tolist() == fam.values(new).tolist()
+        old = new
+
+
+def test_validator_reports_missing_and_extra_states():
+    tr, q, cut, fam, fam_resid, p = _find_stepped_trace()
+    tr.g_masks.pop()
+    tr.f_masks.pop()
+    bad = validate_trace(tr, q, cut, d=60, fam=fam, fam_resid=fam_resid,
+                         m=2, p=p)
+    assert not bad["ok"] and len(bad["violations"]) == 1
+    assert bad["violations"][0][0] == "total"
+    tr, q, cut, fam, fam_resid, p = _find_stepped_trace()
+    tr.f_masks.append(tr.f_masks[-1])
+    bad = validate_trace(tr, q, cut, d=60, fam=fam, fam_resid=fam_resid,
+                         m=2, p=p)
+    assert not bad["ok"] and bad["violations"][0][0] == "total"
