@@ -412,7 +412,8 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, gamma=None,
     recorded state is scored afresh and each later one from the previous
     one's scores by the pairs where the two recorded unions differ, so
     every state is scored as ``CutFamily.values`` would score it.  A trace
-    without one G and one F mask per state fails with no other check.
+    without one G and one F mask per state fails with no other check, and
+    one whose first state is not (G0, empty F) fails.
     Returns {"ok": bool, "violations": [...]}.
     """
     n = trace.n
@@ -433,6 +434,8 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, gamma=None,
     violations = []
     g0 = trace.g0_mask
     e0 = g0.bit_count()
+    if trace.g_masks[0] != g0 or trace.f_masks[0]:
+        violations.append((0, "first state is not (G0, empty F)"))
     ab_steps = 0
     d_steps = 0
     d_run = 0

@@ -50,13 +50,16 @@ def _max_cut_search(g, r, leaf=None):
 
     Vertices go by decreasing degree, ties by label, each into a used part
     or the next new one, so each partition is met in one labelling.
-    Degree-0 vertices are left out, in part 0.  A node is cut off when its
-    crossing edges plus the edges still to place cannot beat the best leaf.
-    With leaf, ties are kept (cut off on < rather than <=) and
-    leaf(value, assign) is called at every leaf at least as good as the
-    best so far, so every maximum cut relabels some reported leaf.  A node
-    is one call of the recursion, cut off or not; raises TooLargeError past
-    NODE_CAP nodes.
+    Degree-0 vertices are left out, in part 0.  The search starts from a
+    floor: the cut that puts each vertex in turn into the first part
+    holding the fewest of its placed neighbours, never above the maximum.
+    A child is entered only if its crossing edges plus the edges still to
+    place can beat the best leaf so far, or reach the floor before the
+    first leaf.  With leaf, ties are kept (rejected on < rather than <=)
+    and leaf(value, assign) is called at every leaf at least as good as
+    the floor and the best so far, so every maximum cut relabels some
+    reported leaf.  A node is one call of the recursion: a child rejected
+    at its parent is not one.  Raises TooLargeError past NODE_CAP nodes.
     """
     adj = g.adj
     order = sorted((v for v in range(g.n) if adj[v]),
@@ -68,12 +71,22 @@ def _max_cut_search(g, r, leaf=None):
     placed = [0] * (m + 1)
     future = [0] * (m + 1)
     inside = 0
+    # the floor: each vertex of order in turn into the first part holding
+    # the fewest of its placed neighbours
+    greedy = [0] * r
+    floor = 0
     for i, v in enumerate(order):
         future[i] = total - inside
-        inside += (adj[v] & placed[i]).bit_count()
+        back = adj[v] & placed[i]
+        inner = [(back & p).bit_count() for p in greedy]
+        c = inner.index(min(inner))
+        greedy[c] |= 1 << v
+        nback = back.bit_count()
+        inside += nback
+        floor += nback - inner[c]
         placed[i + 1] = placed[i] | 1 << v
     tie = 0 if leaf else 1
-    best_val, best_assign = -1, None
+    best_val, best_assign = floor - tie, None
     assign = [0] * g.n
     parts = [0] * r
     nodes = 0
@@ -85,8 +98,6 @@ def _max_cut_search(g, r, leaf=None):
         if nodes > cap:
             raise TooLargeError("max-cut search passed %d nodes (n=%d, r=%d)"
                                 % (cap, g.n, r))
-        if cur + future[i] < best_val + tie:
-            return
         if i == m:
             best_val, best_assign = cur, list(assign)
             if leaf:
@@ -96,10 +107,12 @@ def _max_cut_search(g, r, leaf=None):
         back = adj[v] & placed[i]
         nback = back.bit_count()
         for c in range(min(r, used + 1)):
+            val = cur + nback - (back & parts[c]).bit_count()
+            if val + future[i + 1] < best_val + tie:
+                continue
             assign[v] = c
             parts[c] |= 1 << v
-            rec(i + 1, cur + nback - (back & parts[c]).bit_count(),
-                max(used, c + 1))
+            rec(i + 1, val, max(used, c + 1))
             parts[c] ^= 1 << v
 
     try:
@@ -235,7 +248,11 @@ def _transversal_search(masks, tau, twins=None):
     packing stops as soon as it proves that every leaf below has more than
     tau elements.  The search branches on the first mask it packs, the
     lowest-index mask with the fewest undecided elements: one child deletes
-    each of its undecided elements in turn, keeping those before it.
+    each of its undecided elements in turn, keeping those before it.  When
+    d deletions plus P packed masks reach tau, the child deleting b is not
+    entered if an unhit mask that only the branch mask blocks avoids b:
+    every leaf below it deletes b, one element of each other packed mask
+    and one more for that mask, d + P + 1 elements in all.
 
     The same undecided sets are packed at node after node, so the
     complement of the masks through each one is kept for the call.  Every
@@ -256,8 +273,9 @@ def _transversal_search(masks, tau, twins=None):
     transversal, the first one a search at the minimum would list.  A node
     is one set of kept and deleted elements that the search enters: the
     root and each child, except the children after a kept element completes
-    a mask, which are skipped.  Raises EnumerationCapError past SOL_CAP
-    listed solutions or NODE_CAP nodes.
+    a mask and the children rejected at the parent, which are skipped.
+    Raises EnumerationCapError past SOL_CAP listed solutions or NODE_CAP
+    nodes.
 
     With twins = (ends, mates, good) the search only asks whether a bad
     leaf exists: one below tau elements, or one with good(leaf) false.  It
@@ -325,20 +343,24 @@ def _transversal_search(masks, tau, twins=None):
             unhit = ~masks_through(forced)
             cls = [c & unhit for c in cls]
         room = tau - d
-        pick = 0
-        free = -1
+        pick = first = live = 0
+        free = rest = -1
         for c in cls[2:]:
+            live |= c
             c &= free
             while c:
-                und = masks[(c & -c).bit_length() - 1] & ~kept
-                if not pick:
-                    pick = und
+                low = c & -c
+                und = masks[low.bit_length() - 1] & ~kept
                 room -= 1
                 if room < 0:
                     return
                 f = unblocked.get(und)
                 if f is None:
                     f = unblocked[und] = ~masks_through(und)
+                if pick:
+                    rest &= f
+                else:
+                    pick, first = und, low
                 free &= f
                 c &= f
         if not pick:
@@ -353,13 +375,18 @@ def _transversal_search(masks, tau, twins=None):
             if len(sols) > SOL_CAP:
                 raise EnumerationCapError("transversal solution cap")
             return
+        # the unhit masks that only the branch mask blocks, and the size
+        # d + packed masks that every leaf below reaches
+        alone = live & rest & ~free & ~first
+        least = tau - room
         node_kept = kept
         while pick:
             b = pick & -pick
             pick ^= b
             on_b = inc[b.bit_length() - 1]
-            unhit = ~on_b
-            if not (skip and skip(b, kept ^ node_kept, node_kept, dele)):
+            if not (least >= tau and alone & ~on_b
+                    or skip and skip(b, kept ^ node_kept, node_kept, dele)):
+                unhit = ~on_b
                 rec([c & unhit for c in cls], kept, dele | b, d + 1)
             if d >= tau:
                 return  # a smaller incumbent leaves no room for a sibling

@@ -380,6 +380,36 @@ def test_validator_catches_state_tampering():
     assert not bad["ok"]
 
 
+def test_validator_catches_a_trace_run_from_another_graph():
+    # two start graphs with 33 edges each, so the edge-count identity holds
+    # for the relabelled trace and only the first state gives it away
+    n, p = 12, 0.5
+    q = _q_pair(n)
+    fam = CutFamily(n, 2, 0.4, q=q)
+    fam_resid, _ = residual_family(K3, q, n, "low")
+    g = sample_gnp(n, p, RngStream(99, 20)).with_edge(0, 1)
+    other = sample_gnp(n, p, RngStream(88, 20)).with_edge(0, 1)
+    assert g.edge_count() == other.edge_count() == 33
+    vals = fam.values(g.edge_mask()).tolist()
+    order = sorted(range(len(fam)), key=lambda i: vals[i])
+    cut = fam.cut(order[len(order) // 4])
+    tr = run_switching(g, q, cut, fam_resid, fam, m=2, L=200, seed=20, p=p)
+    assert len(tr.steps) == 14
+    ok = validate_trace(tr, q, cut, d=60, fam=fam, fam_resid=fam_resid,
+                        m=2, p=p)
+    assert ok["ok"], ok["violations"]
+    tr.g0_mask = other.edge_mask()
+    bad = validate_trace(tr, q, cut, d=60, fam=fam, fam_resid=fam_resid,
+                         m=2, p=p)
+    assert bad["violations"] == [(0, "first state is not (G0, empty F)")]
+    # the right start graph, with a pair outside it in F from the outset
+    tr.g0_mask = g.edge_mask()
+    tr.f_masks[0] = ~tr.g0_mask & (tr.g0_mask + 1)
+    bad = validate_trace(tr, q, cut, d=60, fam=fam, fam_resid=fam_resid,
+                         m=2, p=p)
+    assert (0, "first state is not (G0, empty F)") in bad["violations"]
+
+
 def test_validator_catches_budget_overrun():
     tr, q, cut, fam, fam_resid, p = _find_stepped_trace()
     res = validate_trace(tr, q, cut, d=0, fam=fam, fam_resid=fam_resid,

@@ -52,6 +52,76 @@ def test_max_cut_guard(monkeypatch):
         canonical_cut(complete_graph(17), 2)
 
 
+def _reference_max_cut_search(g, r, leaf=None):
+    """The max-cut branch and bound before the greedy floor and the check
+    at the parent: it starts with no incumbent, enters every child and cuts
+    a node off on entry."""
+    adj = g.adj
+    order = sorted((v for v in range(g.n) if adj[v]),
+                   key=lambda v: -g.degree(v))
+    m = len(order)
+    total = g.edge_count()
+    placed = [0] * (m + 1)
+    future = [0] * (m + 1)
+    inside = 0
+    for i, v in enumerate(order):
+        future[i] = total - inside
+        inside += (adj[v] & placed[i]).bit_count()
+        placed[i + 1] = placed[i] | 1 << v
+    tie = 0 if leaf else 1
+    best_val, best_assign = -1, None
+    assign = [0] * g.n
+    parts = [0] * r
+
+    def rec(i, cur, used):
+        nonlocal best_val, best_assign
+        if cur + future[i] < best_val + tie:
+            return
+        if i == m:
+            best_val, best_assign = cur, list(assign)
+            if leaf:
+                leaf(cur, best_assign)
+            return
+        v = order[i]
+        back = adj[v] & placed[i]
+        nback = back.bit_count()
+        for c in range(min(r, used + 1)):
+            assign[v] = c
+            parts[c] |= 1 << v
+            rec(i + 1, cur + nback - (back & parts[c]).bit_count(),
+                max(used, c + 1))
+            parts[c] ^= 1 << v
+
+    rec(0, 0, 0)
+    return best_assign, best_val
+
+
+def _max_leaves(search, g, r):
+    """The maximum leaves a search reports to its leaf callback."""
+    leaves = []
+    search(g, r, lambda value, assign: leaves.append((value, tuple(assign))))
+    top = max(value for value, _ in leaves)
+    return top, {a for value, a in leaves if value == top}
+
+
+# the floor and the check at the parent drop only subtrees below the
+# maximum: the first best leaf and every reported maximum leaf stay
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_max_cut_search_matches_reference(r):
+    hosts = [complete_graph(n) for n in range(1, 13)]
+    hosts += [Graph(n, []) for n in (0, 1, 5)]
+    hosts += [Graph(n, [(0, n - 1)]) for n in (2, 5)]
+    for n in range(13):
+        hosts += [sample_gnp(n, p, RngStream(40 + r, 10 * n + t))
+                  for t, p in enumerate((0.2, 0.5, 0.8))]
+    for g in hosts:
+        ref = _reference_max_cut_search(g, r)
+        assert solvers._max_cut_search(g, r) == ref, (g.n, g.edges())
+        top, leaves = _max_leaves(_reference_max_cut_search, g, r)
+        assert top == ref[1]
+        assert _max_leaves(solvers._max_cut_search, g, r) == (top, leaves)
+
+
 def test_local_cut_is_unfriendly():
     g = petersen_graph()
     part, val = local_max_cut(g, 2, seed=3)
@@ -446,9 +516,11 @@ def test_packing_bound_prunes_k8_c5_within_5000_nodes(monkeypatch):
 
 # (n, pattern, tau = e(K_n) - t_r(n), nodes): the search tree's size pins
 # its branching and bound, so a change that keeps the leaves but walks
-# another tree shows here
-SEARCH_TREES = [(8, "c5", 12, 4686), (9, "triangle", 16, 5250),
-                (8, "k4", 7, 4502)]
+# another tree shows here.  Each case's id is the name it was first pinned
+# under, with the size it had then, so that a re-pin renames no test.
+SEARCH_TREES = [pytest.param(8, "c5", 12, 2844, id="8-c5-12-4686"),
+                pytest.param(9, "triangle", 16, 3036, id="9-triangle-16-5250"),
+                pytest.param(8, "k4", 7, 1833, id="8-k4-7-4502")]
 
 
 @pytest.mark.parametrize("n,pattern,tau,nodes", SEARCH_TREES)
@@ -465,8 +537,11 @@ def test_transversal_search_tree_size_on_complete_hosts(
 
 
 # (n, pattern, nodes): the existence search's tree on K_n with the twin
-# skip; the listing walks 85,272, 143,837 and 16,915 nodes on these hosts
-TWIN_TREES = [(11, "triangle", 12851), (10, "k4", 4555), (9, "c5", 5584)]
+# skip; the listing walks 50,907, 69,641 and 10,670 nodes on these hosts.
+# The ids are the names first pinned, as for SEARCH_TREES.
+TWIN_TREES = [pytest.param(11, "triangle", 8128, id="11-triangle-12851"),
+              pytest.param(10, "k4", 2238, id="10-k4-4555"),
+              pytest.param(9, "c5", 3596, id="9-c5-5584")]
 
 
 @pytest.mark.parametrize("n,pattern,nodes", TWIN_TREES)
@@ -507,7 +582,7 @@ def test_twin_route_loads_no_milp_solver():
 # G(n, p) host whose optimum beats its best cut, so the search meets a
 # smaller leaf and goes on to the minimum; the tree's size pins the
 # incumbent's pruning
-MINIMISING_TREE = (13, 0.5, 4, "triangle", 10, 8, 210)
+MINIMISING_TREE = (13, 0.5, 4, "triangle", 10, 8, 105)
 
 
 def test_transversal_search_tree_size_when_minimising(monkeypatch):
