@@ -4,22 +4,24 @@ Everything here is a plug-in calculator: lower-tail bounds for Poisson and
 hypergraph-matching variables, the parameter table for the switching
 argument, subgraph balance margins, and the closing summations.  All bound
 evaluators work in log-space and report both the raw log-bound and a
-probability clipped to [0, 1].
+probability clipped to [0, 1].  The constants the analysis leaves free are
+one fixed bundle, PAPER_DEFAULTS, read by every module that needs them.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 
 
 @dataclass(frozen=True)
 class Constants:
-    """Tunable constants bundle.
+    """The constants bundle.
 
     The source analysis only fixes a dependency order ("sufficiently
-    small"), never numeric values; these toy defaults keep every guard
-    satisfiable at desk scale and can be overridden field by field.
+    small"), never numeric values; these toy values keep every guard
+    satisfiable at desk scale.  They are fixed: PAPER_DEFAULTS is the one
+    instance the toolkit reads.
     """
     kappa: float = 0.1
     eta: float = 0.05
@@ -30,9 +32,6 @@ class Constants:
     C_theta: float = 2.0
     C_hat: float = 1.0
     C_partial: float = 1.0
-
-    def override(self, **kw):
-        return replace(self, **kw)
 
     def as_dict(self):
         return asdict(self)
@@ -142,20 +141,20 @@ def balanced_condition_check(profile, n, p, C):
 
 # -- parameter table -----------------------------------------------------
 
-def param_table(profile, n, p, eQ, kQ, constants=PAPER_DEFAULTS, p_h=None):
+def param_table(profile, n, p, eQ, kQ):
     """Fill the parameter-table row matching the structure class and regime.
 
     Classes: kQ > 0 means a star-union structure (QH row); otherwise the
     low-degree structure is class 1 when e(Q) < kappa*n*p/log n and class 2
     when e(Q) is at least that (closed on the dense side).  The sparse
-    regime applies when p <= C_theta * p_h.
+    regime applies when p <= C_theta * p_h, with p_h the pattern's
+    threshold at n.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    c = constants
+    c = PAPER_DEFAULTS
     v, e, r = profile.v, profile.e, profile.r
-    if p_h is None:
-        p_h = profile.p_threshold(n)
+    p_h = profile.p_threshold(n)
     base = n ** (v - 2) * p ** (e - 1)       # n^(v-2) p^(e-1)
     logn = math.log(n)
     out = {"n": n, "p": p, "eQ": eQ, "kQ": kQ, "p_h": p_h,
@@ -206,7 +205,8 @@ def mu_delta_lemma_check(which, h, q, s, n, p, profile=None):
     targets (descriptive, not pass/fail).
     """
     from .graph import ColoredGraph, complete_multipartite
-    from .copies import residual_family, janson_moments, count_copies
+    from .copies import residual_family, janson_moments, count_copies, \
+        induce
     from .patterns import PatternProfile
 
     if profile is None:
@@ -220,9 +220,9 @@ def mu_delta_lemma_check(which, h, q, s, n, p, profile=None):
         return report
     variant = "low" if which == "FQL" else "high"
     fam, _ = residual_family(h, q, n, variant)
-    restricted = fam.induce(s.ext_mask())
-    mom_restricted = janson_moments(restricted.family, p, exact=True)
-    mom_full = janson_moments(fam.family, p, exact=True)
+    restricted = induce(fam, s.ext_mask())
+    mom_restricted = janson_moments(restricted, p, exact=True)
+    mom_full = janson_moments(fam, p, exact=True)
     mu = mom_restricted["mu"]
     delta = mom_full["delta"]
     report.update({

@@ -77,7 +77,7 @@ def cmd_check_simonovits(args):
             "indeterminate": EXIT_INDET}[verdict.decision]
 
 
-def scan_threshold(pattern, n_grid, trials, seed, p_grid=None,
+def scan_threshold(pattern, n_grid, trials=20, seed=0, p_grid=None,
                    multipliers=DEFAULT_MULTIPLIERS, timing=True):
     """Trials x is_simonovits over an (n, p) grid.
 
@@ -178,7 +178,8 @@ def _stable_kth(vals, k):
     return int(np.flatnonzero(vals == v)[k - np.count_nonzero(vals < v)])
 
 
-def simulate_switching(pattern, n, p, runs, rounds, m, seed, delta=0.4):
+def simulate_switching(pattern="triangle", n=12, p=0.5, runs=10, rounds=200,
+                       m=3, seed=0, delta=0.4):
     """Seeded switching runs from a single-edge structure, each validated.
 
     Start cuts are drawn from the compatible balanced family with a bias
@@ -288,7 +289,7 @@ def verify_lemma(lemma, pattern="triangle", n=12, p=0.6, delta=0.4,
             g = sample_gnp(n, p, RngStream(seed, t))
             _, f = max_H_free(g, h)
             cut = canonical_cut(f, r)
-            ok = is_delta_balanced(cut, delta, n=n)
+            ok = is_delta_balanced(cut, delta)
             balanced += ok
             details.append({"seed_index": t, "balanced": ok,
                             "sizes": sorted(len(pp) for pp in cut.parts)})
@@ -373,7 +374,13 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--json-out", default=None)
+        sp.add_argument("--json-out")
+
+    def defaults(func, names):
+        """Option defaults, read from func's signature: the one table."""
+        import inspect
+        params = inspect.signature(func).parameters
+        return {k: params[k].default for k in names.split()}
 
     sp = sub.add_parser("analyze-pattern", help="pattern constants as JSON")
     sp.add_argument("--pattern", required=True)
@@ -391,41 +398,46 @@ def build_parser():
     sp = sub.add_parser("scan-threshold", help="(n, p) grid scan to CSV")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--n-grid", required=True)
-    sp.add_argument("--p-grid", default=None)
-    sp.add_argument("--multipliers", default=None)
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--p-grid")
+    sp.add_argument("--multipliers")
+    sp.add_argument("--trials", type=int)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--out")
     sp.add_argument("--no-timing", action="store_true",
                     help="zero the runtime column for byte-stable output")
-    sp.set_defaults(func=cmd_scan_threshold)
+    sp.set_defaults(func=cmd_scan_threshold,
+                    **defaults(scan_threshold, "trials seed"))
 
     sp = sub.add_parser("simulate-switching",
                         help="seeded switching runs with validation")
-    sp.add_argument("--pattern", default="triangle")
-    sp.add_argument("--n", type=int, default=12)
-    sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--runs", type=int, default=10)
-    sp.add_argument("--rounds", type=int, default=200)
-    sp.add_argument("--m", type=int, default=3)
-    sp.add_argument("--delta", type=float, default=0.4)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--pattern")
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--p", type=float)
+    sp.add_argument("--runs", type=int)
+    sp.add_argument("--rounds", type=int)
+    sp.add_argument("--m", type=int)
+    sp.add_argument("--delta", type=float)
+    sp.add_argument("--seed", type=int)
     common(sp)
-    sp.set_defaults(func=cmd_simulate_switching)
+    sp.set_defaults(func=cmd_simulate_switching,
+                    **defaults(simulate_switching,
+                               "pattern n p runs rounds m delta seed"))
 
     sp = sub.add_parser("verify-lemma", help="verify one named bound")
     sp.add_argument("--lemma", required=True)
-    sp.add_argument("--pattern", default="triangle")
-    sp.add_argument("--n", type=int, default=12)
-    sp.add_argument("--p", type=float, default=0.6)
-    sp.add_argument("--delta", type=float, default=0.4)
-    sp.add_argument("--trials", type=int, default=50)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--sizes", default=None)
-    sp.add_argument("--beta", type=float, default=0.01)
-    sp.add_argument("--c", type=float, default=1.0)
+    sp.add_argument("--pattern")
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--p", type=float)
+    sp.add_argument("--delta", type=float)
+    sp.add_argument("--trials", type=int)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--sizes")
+    sp.add_argument("--beta", type=float)
+    sp.add_argument("--c", type=float)
     common(sp)
-    sp.set_defaults(func=cmd_verify_lemma)
+    sp.set_defaults(func=cmd_verify_lemma,
+                    **defaults(verify_lemma,
+                               "pattern n p delta trials seed beta c"))
 
     sp = sub.add_parser("run-config", help="execute a JSON config file")
     sp.add_argument("config")
@@ -441,7 +453,8 @@ def main(argv=None):
     except ConfigError as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return EXIT_CONFIG
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
+        # OSError: a path that names a directory or lies in a missing one
         sys.stderr.write("config error: %s\n" % exc)
         return EXIT_CONFIG
     except TooLargeError as exc:

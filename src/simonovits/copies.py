@@ -4,8 +4,9 @@ A "copy" of a pattern graph h inside a host is a subgraph isomorphic to h,
 recorded as its set of edges.  Families of copies (or of their residuals
 after removing the edges of a fixed structure Q) are hypergraphs over the
 edges of K_n, each member an int bitmask under graph.edge_index, the form
-graphs and cuts use for their edge sets; the helpers take any family of
-bitmasks.
+graphs and cuts use for their edge sets.  A family is a plain list of
+distinct masks in the order canonical_family gives; the helpers take any
+iterable of bitmasks.
 """
 
 import functools
@@ -205,31 +206,16 @@ def are_isomorphic(g1, g2):
 
 # -- copy hypergraphs ----------------------------------------------------
 
+def canonical_family(masks):
+    """The distinct bitmasks, sorted by their member lists: the one order
+    every copy family is kept in."""
+    return sorted(set(masks), key=bitset_members)
+
+
 def copies_as_hypergraph(h, host):
     """Copies of h in host as a family of K_n edge bitmasks."""
-    n = host.n
-    return CopyHypergraph(n, [pair_mask(n, copy)
-                              for copy in enumerate_copies(h, host)])
-
-
-class CopyHypergraph:
-    """Family of distinct edge bitmasks of K_n, ordered by their sorted
-    member lists."""
-
-    __slots__ = ("n", "family")
-
-    def __init__(self, n, family):
-        self.n = n
-        self.family = sorted(set(family), key=bitset_members)
-
-    def __len__(self):
-        return len(self.family)
-
-    def induce(self, ground):
-        return CopyHypergraph(self.n, induce(self.family, ground))
-
-    def induce_graph(self, g):
-        return self.induce(g.edge_mask())
+    return canonical_family(pair_mask(host.n, copy)
+                            for copy in enumerate_copies(h, host))
 
 
 # -- generic set-family operations ---------------------------------------
@@ -241,18 +227,15 @@ def induce(family, ground):
 
 
 def link(family, element):
-    """Sets A - {element} for members A containing the element, deduped."""
+    """Nonempty sets A - {element} for members A containing the element."""
     bit = 1 << element
-    out = {a ^ bit for a in family if a & bit}
-    out.discard(0)
-    return sorted(out, key=bitset_members)
+    return canonical_family(a ^ bit for a in family if a & bit and a != bit)
 
 
 def boundary(family):
-    """All sets obtainable by dropping one element from a member, deduped."""
-    out = {a & ~(1 << x) for a in family for x in bitset_members(a)}
-    out.discard(0)
-    return sorted(out, key=bitset_members)
+    """Nonempty sets obtainable by dropping one element from a member."""
+    return canonical_family(a & ~(1 << x) for a in family
+                            for x in bitset_members(a) if a != 1 << x)
 
 
 def subset_counts(members, j):
@@ -294,7 +277,7 @@ def residual_family(h, q, n, variant="low"):
                     colouring, and all other vertices outside the centres;
                     raises TooLargeError past EMBED_CAP embeddings.
 
-    Returns (CopyHypergraph of residuals, {residual: [copy bitmasks]}).
+    Returns (canonical family of residuals, {residual: [copy bitmasks]}).
     """
     from .graph import ColoredGraph
     qg = q.graph if isinstance(q, ColoredGraph) else q
@@ -366,8 +349,7 @@ def residual_family(h, q, n, variant="low"):
     else:
         raise ValueError("unknown variant %r" % variant)
 
-    hyper = CopyHypergraph(n, completions.keys())
-    return hyper, completions
+    return canonical_family(completions), completions
 
 
 def janson_moments(family, p, exact=False):
@@ -378,7 +360,7 @@ def janson_moments(family, p, exact=False):
     profile: for each j, the largest number of members containing a common
     j-subset (skipped past PROFILE_LIMIT subset enumerations).
     """
-    fam = sorted(set(family), key=bitset_members)
+    fam = canonical_family(family)
     elems = [bitset_members(a) for a in fam]
     num = Fraction if exact else float
     pv = num(p)

@@ -437,10 +437,9 @@ def ext_int(g, partition):
     return Graph(g.n, ext_edges), Graph(g.n, int_edges)
 
 
-def is_delta_balanced(partition, delta, n=None):
+def is_delta_balanced(partition, delta):
     """Every part size within a (1 +- delta) factor of n/r."""
-    if n is None:
-        n = partition.n
+    n = partition.n
     r = partition.r()
     lo = (1 - delta) * n / r
     hi = (1 + delta) * n / r

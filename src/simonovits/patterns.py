@@ -119,13 +119,12 @@ def theta_coefficient(h, pi=None, m2=None):
     return theta, power, e - 1
 
 
-def p_threshold(h, n, c_mult=1.0, theta=None):
+def p_threshold(h, n, c_mult=1.0):
     """Threshold probability theta * n^(-1/m2) * (log n)^(1/(e-1)), clipped
     to [0, 1].  Logs are natural throughout.  Raises ValueError when h is
     not edge-critical, since theta is then undefined."""
     m2, _, _ = two_density(h)
-    if theta is None:
-        theta, _, _ = theta_coefficient(h, m2=m2)
+    theta, _, _ = theta_coefficient(h, m2=m2)
     return _clipped_threshold(n, c_mult, theta, m2, h.edge_count())
 
 

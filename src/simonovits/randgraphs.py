@@ -10,6 +10,7 @@ from .copies import copies_as_hypergraph, link, boundary, induce
 
 ALGORITHM_ID = "mt19937-py"
 _MIX = 0x9E3779B97F4A7C15
+SLACK_SIGMAS = 3.0          # deviations the typicality report allows
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,11 @@ def sample_gnp(n, p, rng):
     return Graph(n, edges)
 
 
-def typicality_report(g, h, p, part_families=(), qh_instances=(), pair_list=(),
-                      slack_sigmas=3.0):
+def typicality_report(g, h, p, part_families=(), qh_instances=(),
+                      pair_list=()):
     """Finite-size analogues of the typical-graph event list.
 
-    T1: every degree within slack_sigmas binomial deviations of (n-1)p.
+    T1: every degree within SLACK_SIGMAS binomial deviations of (n-1)p.
     T2: crossing and internal edge counts concentrated, over the supplied
         partition family.
     T3: for every pair e, the twice-linked copy family induced on g has at
@@ -54,14 +55,14 @@ def typicality_report(g, h, p, part_families=(), qh_instances=(), pair_list=(),
     """
     n = g.n
     v_h, e_h = h.n, h.edge_count()
-    rep = {"n": n, "p": p, "slack_sigmas": slack_sigmas}
+    rep = {"n": n, "p": p, "slack_sigmas": SLACK_SIGMAS}
 
     # T1
     mean = (n - 1) * p
     sd = math.sqrt(max((n - 1) * p * (1 - p), 0.0))
     worst = max((abs(g.degree(v) - mean) for v in range(n)), default=0.0)
-    rep["T1"] = {"max_abs_dev": worst, "allowed": slack_sigmas * sd,
-                 "holds": worst <= slack_sigmas * sd}
+    rep["T1"] = {"max_abs_dev": worst, "allowed": SLACK_SIGMAS * sd,
+                 "holds": worst <= SLACK_SIGMAS * sd}
 
     # T2
     t2 = []
@@ -73,22 +74,22 @@ def typicality_report(g, h, p, part_families=(), qh_instances=(), pair_list=(),
             sd2 = math.sqrt(max(tot * p * (1 - p), 0.0))
             t2.append({"kind": label, "pairs": tot, "edges": got,
                        "expected": tot * p,
-                       "holds": abs(got - tot * p) <= slack_sigmas * sd2})
+                       "holds": abs(got - tot * p) <= SLACK_SIGMAS * sd2})
     rep["T2"] = {"entries": t2, "holds": all(e["holds"] for e in t2)}
 
     # T3
-    hyper = copies_as_hypergraph(h, Graph(n, list(all_pairs(n))))
+    family = copies_as_hypergraph(h, Graph(n, list(all_pairs(n))))
     ground = g.edge_mask()
     edge_cap = 4 * e_h * e_h * n ** (v_h - 2) * p ** (e_h - 2)
     vert_cap = 2 * v_h * e_h * n ** (v_h - 1) * p ** (e_h - 1)
     worst_edge = 0
     for idx in range(n * (n - 1) // 2):
-        lk = boundary(link(hyper.family, idx))
+        lk = boundary(link(family, idx))
         worst_edge = max(worst_edge, len(induce(lk, ground)))
     worst_vert = 0
     for v in range(n):
         star = pair_mask(n, ((v, w) for w in range(n) if w != v))
-        lk = boundary([a for a in hyper.family if a & star])
+        lk = boundary([a for a in family if a & star])
         worst_vert = max(worst_vert, len(induce(lk, ground)))
     rep["T3"] = {"max_edge_link": worst_edge, "edge_cap": edge_cap,
                  "edge_holds": worst_edge <= edge_cap,
@@ -116,7 +117,7 @@ def typicality_report(g, h, p, part_families=(), qh_instances=(), pair_list=(),
                   if u != v and g.has_edge(u, v))
         sd7 = math.sqrt(max(tot * p * (1 - p), 0.0))
         t7.append({"pairs": tot, "edges": got, "expected": tot * p,
-                   "holds": abs(got - tot * p) <= slack_sigmas * sd7})
+                   "holds": abs(got - tot * p) <= SLACK_SIGMAS * sd7})
     rep["T7"] = {"entries": t7, "holds": all(e["holds"] for e in t7)}
 
     rep["holds"] = (rep["T1"]["holds"] and rep["T2"]["holds"]

@@ -219,15 +219,13 @@ def _rigidity(fam, b, ids, alpha):
             "core_error": core_error}
 
 
-def crit_edges(g, fam, rigidity=None, alpha=None):
+def crit_edges(g, fam, rigidity=None):
     """Edges of g crossing every maximum cut of the family.  When a
-    rigidity result with a core is supplied (or alpha given to compute
-    one), asserts crit contains the core-crossing edges of g."""
+    rigidity result with a core is supplied, asserts crit contains the
+    core-crossing edges of g."""
     gm = g.edge_mask() if isinstance(g, Graph) else g
-    b, ids = fam.maxcut_ids(gm)
+    _, ids = fam.maxcut_ids(gm)
     mask = gm & fam.crossed_by_all(ids)
-    if rigidity is None and alpha is not None:
-        rigidity = _rigidity(fam, b, ids, alpha)
     if rigidity and rigidity.get("core") is not None:
         core_ext = rigidity["core"].ext_mask() & gm
         if core_ext & ~mask:
@@ -280,7 +278,7 @@ def _switch_inputs(q, cut, fam, fam_resid, m, gamma_n2p, alpha):
     # internal pairs of the cut: its crossing pairs' complement within K_n
     int_mask = ((1 << (n * (n - 1) // 2)) - 1) & ~ext_cut
     return _SwitchRun(fam, q.graph.edge_mask(), ext_cut, int_mask,
-                      fam_resid.family, colours, _vertex_pairs(n), m,
+                      fam_resid, colours, _vertex_pairs(n), m,
                       gamma_n2p, alpha)
 
 
@@ -344,13 +342,13 @@ def _switch_branch(run, g_mask, f_mask, vals):
     return "stuck", None, b
 
 
-def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0,
-                  constants=PAPER_DEFAULTS, gamma=None, p=None):
+def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0, p=None):
     """Execute the switching algorithm for L rounds or until it stops.
 
     q: ColoredGraph structure contained in g0; cut: compatible balanced
     partition; fam_resid: residual family (subsets of non-q pairs of K_n);
-    fam: the CutFamily; m: the step-(a) threshold.  Removals and additions
+    fam: the CutFamily; m: the step-(a) threshold; gamma = alpha/(24r), from
+    PAPER_DEFAULTS, is recorded in the trace.  Removals and additions
     are drawn uniformly from the sorted choice sets via the seeded stream.
     The family is scored once, and each step moves the scores by the one
     pair it changed.
@@ -358,17 +356,15 @@ def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0,
     n = g0.n
     if p is None:
         p = g0.edge_count() / (n * (n - 1) / 2)
-    r = fam.r
-    if gamma is None:
-        gamma = constants.alpha / (24 * r)
-    run = _switch_inputs(q, cut, fam, fam_resid, m, gamma * n * n * p,
-                         constants.alpha)
+    alpha = PAPER_DEFAULTS.alpha
+    gamma = alpha / (24 * fam.r)
+    run = _switch_inputs(q, cut, fam, fam_resid, m, gamma * n * n * p, alpha)
     g_mask = g0.edge_mask()
     if run.q_mask & ~g_mask:
         raise ValueError("structure not contained in the start graph")
     rng = random.Random(seed)
     params = {"m": m, "L": L, "gamma": gamma, "seed": seed, "p": p,
-              "alpha": constants.alpha}
+              "alpha": alpha}
     trace = SwitchTrace(n, g_mask, params)
     f_mask = 0
     vals = fam.values(g_mask)
@@ -397,8 +393,7 @@ def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0,
     return trace
 
 
-def validate_trace(trace, q, cut, d, fam, fam_resid, m, gamma=None,
-                   constants=PAPER_DEFAULTS, p=None):
+def validate_trace(trace, q, cut, d, fam, fam_resid, m, p=None):
     """Re-execute the branch logic of a trace and check the legal-sequence
     properties.
 
@@ -408,22 +403,22 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, gamma=None,
     overall; (iv) at most r^2(d+1) addition steps, runs of consecutive
     additions at most r^2, and an addition step never immediately followed
     by type c.  Also confirms each step's type matches the first applicable
-    branch and its edge belongs to the recomputed choice set.  The first
-    recorded state is scored afresh and each later one from the previous
-    one's scores by the pairs where the two recorded unions differ, so
-    every state is scored as ``CutFamily.values`` would score it.  A trace
+    branch, under the recorded gamma (else alpha/(24r)), and its edge
+    belongs to the recomputed choice set.  The first recorded state is
+    scored afresh and each later one from the previous one's scores by the
+    pairs where the two recorded unions differ, so every state is scored
+    as ``CutFamily.values`` would score it.  A trace
     without one G and one F mask per state fails with no other check, and
     one whose first state is not (G0, empty F) fails.
     Returns {"ok": bool, "violations": [...]}.
     """
     n = trace.n
     r = fam.r
+    alpha = PAPER_DEFAULTS.alpha
     if p is None:
         p = trace.params.get("p")
-    if gamma is None:
-        gamma = trace.params.get("gamma", constants.alpha / (24 * r))
-    run = _switch_inputs(q, cut, fam, fam_resid, m, gamma * n * n * p,
-                         constants.alpha)
+    gamma = trace.params.get("gamma", alpha / (24 * r))
+    run = _switch_inputs(q, cut, fam, fam_resid, m, gamma * n * n * p, alpha)
     states = len(trace.steps) + 1
     if len(trace.g_masks) != states or len(trace.f_masks) != states:
         return {"ok": False, "violations": [(

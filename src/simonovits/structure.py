@@ -8,8 +8,8 @@ import math
 import random
 
 from .graph import Graph, ColoredGraph, TooLargeError, pair_mask
-from .copies import (CopyHypergraph, residual_family, janson_moments,
-                     subset_counts)
+from .copies import (canonical_family, residual_family, janson_moments,
+                     subset_counts, induce)
 from .bounds import PAPER_DEFAULTS, upper_tail_rho
 
 
@@ -220,7 +220,7 @@ def _max_bounded_subgraph(i, cap, exact_limit=24):
     return g, "greedy"
 
 
-def construct_QF(f, cut, constants=PAPER_DEFAULTS, p=None):
+def construct_QF(f, cut, p=None):
     """Build the coloured structure Q from a graph f and a canonical cut.
 
     Case 1 (low-degree part dominates): the largest subgraph of the first
@@ -232,11 +232,12 @@ def construct_QF(f, cut, constants=PAPER_DEFAULTS, p=None):
     """
     if p is None:
         raise ValueError("p required")
+    eta, kappa = PAPER_DEFAULTS.eta, PAPER_DEFAULTS.kappa
     n = f.n
     r = cut.r()
     logn = math.log(n)
-    eta_np = math.ceil(constants.eta * n * p)
-    d_thresh = constants.kappa * n * p / logn
+    eta_np = math.ceil(eta * n * p)
+    d_thresh = kappa * n * p / logn
     assign = cut.assignment()
     part1 = sorted(cut.parts[0])
     i_graph = f.induced_in_place(part1)
@@ -272,8 +273,7 @@ def construct_QF(f, cut, constants=PAPER_DEFAULTS, p=None):
         if q.max_degree() > d_thresh:
             raise ConstructionInfeasible(
                 "degree cap %d exceeds kappa*n*p/log n = %.3f" % (d, d_thresh))
-        need = max(d_thresh,
-                   constants.kappa / (4 * constants.eta * logn) * e_i)
+        need = max(d_thresh, kappa / (4 * eta * logn) * e_i)
         if q.edge_count() < need:
             raise ConstructionInfeasible(
                 "trimmed structure too small: e=%d < %.3f" %
@@ -377,8 +377,7 @@ class VertexHypergraph:
                 for j in range(1, ell + 1)}
 
 
-def neighbourhood_hypergraph(g, qfam, l_vector, constants=PAPER_DEFAULTS,
-                             p=None):
+def neighbourhood_hypergraph(g, qfam, l_vector, p=None):
     """Sequential good/bad-centre construction of a fresh-sets hypergraph.
 
     Processes the centres in order; a centre is good when at most half of
@@ -397,7 +396,7 @@ def neighbourhood_hypergraph(g, qfam, l_vector, constants=PAPER_DEFAULTS,
     if ell < 1:
         raise ValueError("profile must be nonempty")
     r = len(l_vector)
-    eta, np_ = constants.eta, n * p
+    eta, np_ = PAPER_DEFAULTS.eta, n * p
     alpha = (eta / ell) ** ell / 2
     rho = upper_tail_rho(alpha, ell)
     D = 2 ** (ell + 1) / rho
@@ -489,13 +488,13 @@ def neighbourhood_hypergraph(g, qfam, l_vector, constants=PAPER_DEFAULTS,
 
 def build_high_family(qfam, h, g_hyper):
     """Residuals omega with omega + star(centre, U) forming a pattern copy,
-    over the hyperedges U of g_hyper.  Returns (CopyHypergraph, flagged)."""
+    over the hyperedges U of g_hyper.  Returns (canonical family, flagged)."""
     from .copies import critical_edge_and_anchor, embeddings
     q = qfam.q
     n = q.graph.n
     q_mask = q.graph.edge_mask()
     if len(g_hyper) == 0:
-        return CopyHypergraph(n, []), True
+        return [], True
     f, anchor = critical_edge_and_anchor(h)
     host = Graph(n, list(itertools.combinations(range(n), 2)))
     outside = [v for v in range(n) if v not in q.centres]
@@ -513,22 +512,21 @@ def build_high_family(qfam, h, g_hyper):
         for w in rest:
             fixed[w] = outside
         star = pair_mask(n, ((v_u, x) for x in u_set))
+        # nbrs map injectively onto u_set, so every copy uses the full star
         for img in embeddings(h, host, fixed):
-            # the full star must be consumed: nbrs cover u_set exactly
-            if {img[w] for w in nbrs} != set(u_set):
-                continue
             copy = pair_mask(n, ((img[a], img[b]) for (a, b) in h.edges()))
             omega = copy & ~star
             if omega & q_mask:
                 continue
             out.add(omega)
-    return CopyHypergraph(n, out), False
+    return canonical_family(out), False
 
 
 # -- sparsification ------------------------------------------------------
 
 def sparsify_families(copies, q_prob, N, seed, check=None):
-    """N independent q-thinned subfamilies of a copy family.
+    """N independent q-thinned subfamilies of a copy family, each a
+    canonical family; the input is put in canonical order first.
 
     With check = {"h", "q", "p", "s_list"} supplied, evaluates for each
     sample the two moment conditions relative to the full low residual
@@ -538,35 +536,35 @@ def sparsify_families(copies, q_prob, N, seed, check=None):
     """
     if not 0 <= q_prob <= 1:
         raise ValueError("q out of range")
+    copies = canonical_family(copies)
     rng = random.Random(seed)
     samples = []
     for _ in range(N):
-        samples.append([a for a in copies.family if rng.random() < q_prob])
+        samples.append([a for a in copies if rng.random() < q_prob])
     report = {"N": N, "q": q_prob, "checks": None, "first_pass": None}
     if check is None:
-        return [CopyHypergraph(copies.n, s) for s in samples], report
+        return samples, report
 
     h, q, p = check["h"], check["q"], check["p"]
     s_list = check["s_list"]
-    n = copies.n
+    n = (q.graph if isinstance(q, ColoredGraph) else q).n
     fam_full, completions = residual_family(h, q, n, "low")
     ext_masks = [s.ext_mask() for s in s_list]
-    base_mu = [janson_moments(fam_full.induce(e).family, p)["mu"]
+    base_mu = [janson_moments(induce(fam_full, e), p)["mu"]
                for e in ext_masks]
-    base_delta = janson_moments(fam_full.family, p)["delta"]
+    base_delta = janson_moments(fam_full, p)["delta"]
     checks = []
     first = None
     out = []
     for i, sample in enumerate(samples):
         sset = set(sample)
-        sub = [resid for resid, comps in completions.items()
-               if any(c in sset for c in comps)]
-        sub_h = CopyHypergraph(n, sub)
-        out.append(sub_h)
-        b1 = all(janson_moments(sub_h.induce(e).family, p)["mu"]
+        sub = canonical_family(resid for resid, comps in completions.items()
+                               if any(c in sset for c in comps))
+        out.append(sub)
+        b1 = all(janson_moments(induce(sub, e), p)["mu"]
                  >= (q_prob / 2) * bm - 1e-12
                  for e, bm in zip(ext_masks, base_mu))
-        d = janson_moments(sub_h.family, p)["delta"]
+        d = janson_moments(sub, p)["delta"]
         b2 = d <= 2 * q_prob * q_prob * base_delta + 1e-12
         checks.append({"index": i, "B1": b1, "B2": b2})
         if b1 and b2 and first is None:

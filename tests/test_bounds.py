@@ -8,8 +8,7 @@ from simonovits.graph import (Graph, PartTuple, ColoredGraph, named_graph,
                               cycle_graph)
 from simonovits.patterns import PatternProfile
 from simonovits import bounds
-from simonovits.bounds import (Constants, PAPER_DEFAULTS,
-                               poisson_lower_tail, janson_matching_bound,
+from simonovits.bounds import (poisson_lower_tail, janson_matching_bound,
                                janson_corollaries, upper_tail_rho,
                                upper_tail_bound, balanced_condition_check,
                                param_table, mu_delta_lemma_check,
@@ -19,12 +18,6 @@ from simonovits.bounds import (Constants, PAPER_DEFAULTS,
 def _poisson_cdf(mu, k):
     return sum(math.exp(-mu) * mu ** i / math.factorial(i)
                for i in range(k + 1))
-
-
-def test_constants_override():
-    c = PAPER_DEFAULTS.override(kappa=0.2)
-    assert c.kappa == 0.2 and PAPER_DEFAULTS.kappa == 0.1
-    assert "eta" in c.as_dict()
 
 
 def test_poisson_bound_dominates_true_tail():

@@ -139,6 +139,20 @@ def test_verify_lemma_pif_balanced(tmp_path):
     assert len(d["details"]) == 6
 
 
+@pytest.mark.parametrize("argv, call", [
+    (["verify-lemma", "--lemma", "pif-balanced", "--trials", "2"],
+     lambda: cli.verify_lemma("pif-balanced", trials=2)),
+    (["simulate-switching", "--runs", "2"],
+     lambda: cli.simulate_switching(runs=2)),
+], ids=["verify-lemma", "simulate-switching"])
+def test_cli_defaults_are_the_library_defaults(tmp_path, argv, call):
+    # the command line reads its defaults from the library signatures
+    cmd_out, lib_out = tmp_path / "cmd.json", tmp_path / "lib.json"
+    assert run(argv + ["--json-out", str(cmd_out)]) == 0
+    cli._emit(call(), str(lib_out))
+    assert cmd_out.read_bytes() == lib_out.read_bytes()
+
+
 def test_run_config_round_trip(tmp_path):
     cfg = {"command": "scan-threshold", "pattern": "triangle",
            "n_grid": [8], "trials": 3, "seed": 5, "no_timing": True,
@@ -274,6 +288,32 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert run(["analyze-pattern", "--pattern", "triangle",
                 "--json-out", str(out)]) == 0
     assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+
+def test_scan_out_into_missing_directory_exits_2(tmp_path, capsys):
+    assert run(["scan-threshold", "--pattern", "triangle", "--n-grid", "6",
+                "--trials", "1", "--no-timing",
+                "--out", str(tmp_path / "missing" / "scan.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_out_into_missing_directory_exits_2(tmp_path, capsys):
+    assert run(["analyze-pattern", "--pattern", "triangle",
+                "--json-out", str(tmp_path / "missing" / "p.json")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option", ["--graph", "--pattern"])
+def test_graph_path_naming_a_directory_exits_2(tmp_path, capsys, option):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {"--graph": "k5", "--pattern": "triangle", option: str(folder)}
+    assert run(["check-simonovits", *(x for kv in argv.items() for x in kv),
+                "--json-out", str(tmp_path / "v.json")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["folder"]
 
 
 def test_graph_formats(tmp_path):

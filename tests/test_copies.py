@@ -10,15 +10,16 @@ from hypothesis import given, settings, strategies as st
 from simonovits.graph import (Graph, ColoredGraph, complete_graph,
                               cycle_graph, petersen_graph, named_graph,
                               graph_from_spec, all_pairs,
-                              pair_mask)
+                              pair_mask, bitset_members)
 from simonovits import copies
 from simonovits.copies import (embeddings, count_embeddings,
                                automorphism_count, enumerate_copies,
                                count_copies, are_isomorphic,
-                               copies_as_hypergraph, CopyHypergraph, induce,
+                               copies_as_hypergraph, induce,
                                link, boundary,
                                critical_edge_and_anchor, residual_family,
                                janson_moments, subset_counts, PROFILE_LIMIT)
+from simonovits.patterns import is_edge_critical
 from simonovits.randgraphs import RngStream, sample_gnp
 
 K3 = named_graph("triangle")
@@ -61,7 +62,7 @@ def test_isomorphism():
 def test_matching_number_edge_disjoint_triangles():
     # K5 packs 2 edge-disjoint triangles; K7 decomposes into 7
     for n, packed in ((5, 2), (7, 7)):
-        family = copies_as_hypergraph(K3, complete_graph(n)).family
+        family = copies_as_hypergraph(K3, complete_graph(n))
         assert matching_number(family) == packed
 
 
@@ -218,7 +219,7 @@ def test_matching_number_of_c5_low_residuals_in_k8():
     # 6 is _ref_matching_number's answer, which takes over a second here
     fam, _ = residual_family(cycle_graph(5), Graph(8, [(0, 1)]), 8, "low")
     assert len(fam) == 120
-    assert matching_number(fam.family) == 6
+    assert matching_number(fam) == 6
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -265,10 +266,10 @@ def test_residual_family_all_contains_low():
     q = Graph(n, [(0, 1), (2, 3)])
     fam_low, _ = residual_family(K3, q, n, "low")
     fam_all, _ = residual_family(K3, q, n, "all")
-    low = set(fam_low.family)
+    low = set(fam_low)
     # "low" residuals keep the shared edge out; every one appears among
     # "all" residuals as well
-    assert low <= set(fam_all.family)
+    assert low <= set(fam_all)
 
 
 def _reference_residual_family(h, q, n, variant):
@@ -293,7 +294,7 @@ def _reference_residual_family(h, q, n, variant):
         resid = copy_mask & ~q_mask
         if resid:
             completions.setdefault(resid, set()).add(copy_mask)
-    return CopyHypergraph(n, completions).family, completions
+    return sorted(set(completions), key=bitset_members), completions
 
 
 RESIDUAL_PATTERNS = {"triangle": K3, "c5": cycle_graph(5),
@@ -321,7 +322,7 @@ def test_residual_family_matches_whole_kn_filter(pattern, structure, n):
     for variant in ("all", "low"):
         fam, comps = residual_family(h, q, n, variant)
         ref_fam, ref_comps = _reference_residual_family(h, q, n, variant)
-        assert fam.family == ref_fam
+        assert fam == ref_fam
         assert {r: set(c) for r, c in comps.items()} == ref_comps
 
 
@@ -333,12 +334,37 @@ def test_residual_family_high_places_anchor_on_centres():
     fam, comps = residual_family(K3, cg, n, "high")
     assert len(fam) > 0
     centre_pairs = pair_mask(n, [(0, 2), (0, 3), (1, 4), (1, 5)])
-    for resid in fam.family:
+    for resid in fam:
         assert not resid & centre_pairs
 
 
+def _canonical(family):
+    return family == sorted(set(family), key=bitset_members)
+
+
+@pytest.mark.parametrize("pattern", sorted(RESIDUAL_PATTERNS))
+def test_families_come_distinct_in_canonical_order(pattern):
+    h = RESIDUAL_PATTERNS[pattern]
+    for structure in RESIDUAL_STRUCTURES.values():
+        for variant in ("all", "low"):
+            fam, _ = residual_family(h, structure(8), 8, variant)
+            assert fam and _canonical(fam)
+    high = ColoredGraph(Graph(8, [(0, 2), (0, 3), (1, 4), (1, 5)]),
+                        [1, 1, 2, 2, 2, 2, 0, 0], centres=[0, 1])
+    if h.chromatic_number() == 3 and is_edge_critical(h)[0]:
+        fam, _ = residual_family(h, high, 8, "high")
+        assert fam and _canonical(fam)
+    copies_k7 = copies_as_hypergraph(h, complete_graph(7))
+    assert copies_k7 and _canonical(copies_k7)
+    for element in (0, 5, 20):
+        lk = link(copies_k7, element)
+        assert lk and _canonical(lk) and 0 not in lk
+    bd = boundary(copies_k7)
+    assert bd and _canonical(bd) and 0 not in bd
+
+
 def test_janson_moments_triangles_in_k4():
-    fam = copies_as_hypergraph(K3, complete_graph(4)).family
+    fam = copies_as_hypergraph(K3, complete_graph(4))
     p = Fraction(1, 2)
     m = janson_moments(fam, p, exact=True)
     assert m["mu"] == 4 * p ** 3
@@ -367,7 +393,7 @@ def test_enumerate_copies_are_actual_subgraphs():
 def test_hypergraph_induce_graph():
     host = complete_graph(5)
     hyp = copies_as_hypergraph(K3, host)
-    sub = hyp.induce_graph(complete_graph(5).without_edge(0, 1))
+    sub = induce(hyp, complete_graph(5).without_edge(0, 1).edge_mask())
     assert len(sub) == math.comb(5, 3) - 3
 
 
