@@ -32,6 +32,9 @@ EXIT_INDET = 4
 EXIT_GUARD = 5
 
 DEFAULT_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
+# trial t of scan cell c draws from stream c * CELL_STREAMS + t, so a cell
+# runs at most CELL_STREAMS trials before it would reuse the next cell's
+CELL_STREAMS = 10007
 
 
 class ConfigError(Exception):
@@ -90,6 +93,8 @@ def scan_threshold(pattern, n_grid, trials=20, seed=0, p_grid=None,
         raise ConfigError("empty n grid")
     if trials < 1:
         raise ConfigError("trials must be at least 1")
+    if trials > CELL_STREAMS:
+        raise ConfigError("trials must be at most %d" % CELL_STREAMS)
     if p_grid is not None and not p_grid:
         raise ConfigError("empty p grid")
     if p_grid is None and not multipliers:
@@ -113,7 +118,7 @@ def scan_threshold(pattern, n_grid, trials=20, seed=0, p_grid=None,
             witnesses = 0
             elapsed = 0.0
             for t in range(trials):
-                g = sample_gnp(n, p, RngStream(seed, cell * 10007 + t))
+                g = sample_gnp(n, p, RngStream(seed, cell * CELL_STREAMS + t))
                 key = (n, g.edge_mask())
                 t0 = time.perf_counter()
                 if key not in cache:
@@ -224,8 +229,8 @@ def cmd_simulate_switching(args):
 
 def verify_lemma(lemma, pattern="triangle", n=12, p=0.6, delta=0.4,
                  trials=50, seed=0, sizes=None, beta=0.01, c=1.0):
-    """Standardised verification report for one named bound or lemma."""
-    h = graph_from_spec(pattern)
+    """Standardised verification report for one named bound or lemma.  Only
+    the lemmas that read the pattern resolve it."""
     if lemma == "poisson":
         cases = [(5.0, 0.1), (10.0, 0.5), (20.0, 0.9)]
         return {"lemma": lemma,
@@ -253,13 +258,14 @@ def verify_lemma(lemma, pattern="triangle", n=12, p=0.6, delta=0.4,
                            **bounds.upper_tail_bound(a, l, n, p)}
                           for (a, l) in cases]}
     if lemma == "balanced":
-        profile = PatternProfile(h)
+        profile = PatternProfile(graph_from_spec(pattern))
         return {"lemma": lemma, "pattern": pattern, "n": n, "p": p,
                 **bounds.balanced_condition_check(profile, n, p, 1.0)}
     if lemma == "sum":
         return {"lemma": lemma, "n": n, "p": p, "beta": beta, "c": c,
                 **bounds.sufficiency_sum(n, p, beta, c)}
     if lemma in ("fql", "high"):
+        h = graph_from_spec(pattern)
         profile = PatternProfile(h)
         r = profile.r
         if sizes is None:
@@ -282,6 +288,7 @@ def verify_lemma(lemma, pattern="triangle", n=12, p=0.6, delta=0.4,
     if lemma == "pif-balanced":
         if trials < 1:
             raise ConfigError("trials must be at least 1")
+        h = graph_from_spec(pattern)
         r = h.chromatic_number() - 1
         balanced = 0
         details = []
@@ -343,7 +350,7 @@ def run_config(path):
     unknown = sorted(set(cfg) - set(vars(args)))
     if unknown:
         raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
-    return args.func(args)
+    return _dispatch(args)
 
 
 def cmd_run_config(args):
@@ -351,6 +358,20 @@ def cmd_run_config(args):
 
 
 # -- argument plumbing ---------------------------------------------------
+
+def _dispatch(args):
+    """Run a parsed command once its output paths are known to be
+    writable, so a bad path fails before the work instead of after it."""
+    for path in (getattr(args, "out", None), getattr(args, "json_out", None)):
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise ConfigError("output path %s is a directory" % path)
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError("output path %s is not in an existing "
+                              "directory" % path)
+    return args.func(args)
+
 
 def _int_list(text):
     try:
@@ -449,7 +470,7 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        return _dispatch(args)
     except ConfigError as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return EXIT_CONFIG

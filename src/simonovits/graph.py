@@ -29,17 +29,6 @@ def pair_mask(n, pairs):
     return m
 
 
-def edge_from_index(n, idx):
-    """Inverse of edge_index."""
-    u = 0
-    row = n - 1
-    while idx >= row:
-        idx -= row
-        u += 1
-        row -= 1
-    return (u, u + 1 + idx)
-
-
 def all_pairs(n):
     return itertools.combinations(range(n), 2)
 
@@ -142,15 +131,6 @@ class Graph:
         g.adj[v] &= ~(1 << u)
         return g
 
-    def from_edge_mask(self, mask):
-        """Spanning subgraph of K_n given by an edge bitmask."""
-        edges = []
-        while mask:
-            b = mask & -mask
-            edges.append(edge_from_index(self.n, b.bit_length() - 1))
-            mask ^= b
-        return Graph(self.n, edges)
-
     def induced(self, vertices):
         """Induced subgraph; vertices are relabelled 0..k-1 in sorted order."""
         vs = sorted(vertices)
@@ -164,21 +144,6 @@ class Graph:
         vset = set(vertices)
         return Graph(self.n, [(u, v) for (u, v) in self.edges()
                               if u in vset and v in vset])
-
-    def is_connected(self):
-        if self.n == 0:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                nxt |= self.adj[b.bit_length() - 1]
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen == (1 << self.n) - 1
 
     # -- colouring --------------------------------------------------------
 
@@ -264,12 +229,6 @@ def parse_inline(text):
             raise ValueError("bad edge token %r" % tok)
     return parse_graph("\n".join(["%s %d" % (head, len(toks))]
                                  + [tok.replace("-", " ") for tok in toks]))
-
-
-def format_graph(g):
-    lines = ["%d %d" % (g.n, g.edge_count())]
-    lines += ["%d %d" % e for e in g.edges()]
-    return "\n".join(lines) + "\n"
 
 
 def load_graph(path):
@@ -463,9 +422,6 @@ class ColoredGraph:
         for c in self.centres:
             if not 0 <= c < graph.n:
                 raise ValueError("centre out of range")
-
-    def colour_class(self, k):
-        return frozenset(v for v in range(self.graph.n) if self.colour[v] == k)
 
     def class_neighbours(self, v, k):
         """Neighbours of v carrying colour k."""

@@ -16,8 +16,8 @@ import functools
 import math
 import random
 
-from .graph import Graph, PartTuple, ColoredGraph, TooLargeError, \
-    pair_mask, bitset_members, assignment_chunks
+from .graph import PartTuple, TooLargeError, pair_mask, bitset_members, \
+    assignment_chunks
 from .bounds import PAPER_DEFAULTS
 
 FAMILY_GUARD = 10 ** 8          # assignments enumerated
@@ -49,7 +49,7 @@ class CutFamily:
         self.r = r
         lo = (1 - delta) * n / r
         hi = (1 + delta) * n / r
-        colour = q.colour if isinstance(q, ColoredGraph) else ()
+        colour = q.colour if q is not None else ()
         pinned = {v: c - 1 for v, c in enumerate(colour) if c >= 1}
         free = [v for v in range(n) if v not in pinned]
         base = [0] * r              # pinned vertices in each part
@@ -131,9 +131,6 @@ class CutFamily:
         for e in bitset_members(new_mask & ~old_mask):
             vals += (self._planes[e >> 3] >> (e & 7)) & 1
 
-    def b_value(self, g_mask):
-        return int(self.values(g_mask).max())
-
     def maxcut_ids(self, g_mask):
         vals = self.values(g_mask)
         b = vals.max()
@@ -159,8 +156,7 @@ def _balanced_count(f, r, allowed):
 def deficit(cut, g, fam):
     """(best family cut value, deficit of the given cut)."""
     idx = fam.index_of(cut)
-    gm = g.edge_mask() if isinstance(g, Graph) else g
-    vals = fam.values(gm)
+    vals = fam.values(g.edge_mask())
     b = int(vals.max())
     return b, b - int(vals[idx])
 
@@ -194,8 +190,7 @@ def equivalence_and_rigidity(g, fam, alpha):
     rigidity flag, and (when rigid) the core: the r classes larger than
     (1-4r*alpha)n/r, in canonical unordered form.
     """
-    gm = g.edge_mask() if isinstance(g, Graph) else g
-    return _rigidity(fam, *fam.maxcut_ids(gm), alpha)
+    return _rigidity(fam, *fam.maxcut_ids(g.edge_mask()), alpha)
 
 
 def _rigidity(fam, b, ids, alpha):
@@ -223,7 +218,7 @@ def crit_edges(g, fam, rigidity=None):
     """Edges of g crossing every maximum cut of the family.  When a
     rigidity result with a core is supplied, asserts crit contains the
     core-crossing edges of g."""
-    gm = g.edge_mask() if isinstance(g, Graph) else g
+    gm = g.edge_mask()
     _, ids = fam.maxcut_ids(gm)
     mask = gm & fam.crossed_by_all(ids)
     if rigidity and rigidity.get("core") is not None:
@@ -267,8 +262,6 @@ def _switch_inputs(q, cut, fam, fam_resid, m, gamma_n2p, alpha):
     q's edge mask, the cut's crossing and internal pairs, the residual
     family as masks, the nonempty colour classes of q, and the pairs that
     touch each vertex."""
-    if isinstance(q, Graph):
-        q = ColoredGraph(q, [1 if q.degree(v) else 0 for v in range(q.n)])
     # index_of refuses a cut outside the family
     ext_cut = fam.crossed_by_all([fam.index_of(cut)])
     n = fam.n

@@ -37,10 +37,6 @@ SOL_CAP = 1_000_000      # optimal transversals listed before giving up
 NODE_CAP = 50_000_000    # search nodes visited before giving up
 
 
-class EnumerationCapError(Exception):
-    pass
-
-
 # -- maximum r-cuts ------------------------------------------------------
 
 def _max_cut_search(g, r, leaf=None):
@@ -274,8 +270,7 @@ def _transversal_search(masks, tau, twins=None):
     is one set of kept and deleted elements that the search enters: the
     root and each child, except the children after a kept element completes
     a mask and the children rejected at the parent, which are skipped.
-    Raises EnumerationCapError past SOL_CAP listed solutions or NODE_CAP
-    nodes.
+    Raises TooLargeError past SOL_CAP listed solutions or NODE_CAP nodes.
 
     With twins = (ends, mates, good) the search only asks whether a bad
     leaf exists: one below tau elements, or one with good(leaf) false.  It
@@ -325,7 +320,7 @@ def _transversal_search(masks, tau, twins=None):
         nonlocal tau, size, sols, nodes
         nodes += 1
         if nodes > NODE_CAP:
-            raise EnumerationCapError("transversal search node cap")
+            raise TooLargeError("transversal search node cap")
         if cls[0]:
             return
         one = cls[1]
@@ -373,7 +368,7 @@ def _transversal_search(masks, tau, twins=None):
                 return
             sols.append(dele)
             if len(sols) > SOL_CAP:
-                raise EnumerationCapError("transversal solution cap")
+                raise TooLargeError("transversal solution cap")
             return
         # the unhit masks that only the branch mask blocks, and the size
         # d + packed masks that every leaf below reaches
@@ -507,7 +502,7 @@ def enumerate_optimal_H_free(g, h, tau):
     """All largest h-free subgraphs of g if tau = e(g) - ex(g, h); the
     first one the transversal search meets, alone, if tau is larger; and
     [] if tau is smaller, since no h-free subgraph has more than ex(g, h)
-    edges.  Raises EnumerationCapError past the search's caps.
+    edges.  Raises TooLargeError past the search's caps.
     """
     edges, masks = _copy_masks(g, h)
     if not masks:
@@ -655,7 +650,7 @@ def _decide_up_to_twins(g, h, r, best_rp, mates):
         if len(crossings) > SOL_CAP or _transversal_search(
                 masks, g.edge_count() - best_rp, (edges, mates, good)):
             return None
-    except (TooLargeError, EnumerationCapError):
+    except TooLargeError:
         return None
     return SimonovitsVerdict(
         "yes", ex_size=best_rp, best_rpartite=best_rp,
@@ -668,7 +663,7 @@ def _decide_by_listing(g, h, r, best_rp):
     try:
         # ex >= best_rp, so the search at this size meets an optimum
         optima = enumerate_optimal_H_free(g, h, g.edge_count() - best_rp)
-    except EnumerationCapError as cap:
+    except TooLargeError as cap:
         ex, witness = max_H_free(g, h)
         if ex == best_rp:
             return SimonovitsVerdict(

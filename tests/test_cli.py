@@ -105,6 +105,22 @@ def test_verify_lemma_dispatch(tmp_path):
     assert run(["verify-lemma", "--lemma", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("lemma", ["poisson", "janson", "corollaries",
+                                   "uppertail", "sum"])
+def test_verify_lemma_without_a_pattern_ignores_it(capsys, lemma):
+    assert run(["verify-lemma", "--lemma", lemma]) == 0
+    plain = capsys.readouterr().out
+    assert run(["verify-lemma", "--lemma", lemma, "--pattern", "nosuch"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("lemma", ["balanced", "fql", "high",
+                                   "pif-balanced"])
+def test_verify_lemma_with_a_pattern_resolves_it(capsys, lemma):
+    assert run(["verify-lemma", "--lemma", lemma, "--pattern", "nosuch"]) == 2
+    assert "unknown graph name 'nosuch'" in capsys.readouterr().err
+
+
 def test_verify_lemma_high_builds_a_star_union(tmp_path):
     # the structure is one star: centre 0 joined to vertices 1..r-1
     for pattern, restricted in (("triangle", 6), ("c5", 120), ("k4", 0)):
@@ -290,6 +306,60 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
 
+OUTPUT_COMMANDS = {
+    "--out": {"command": "scan-threshold", "pattern": "triangle",
+              "n_grid": "10,11", "trials": 10},
+    "--json-out": {"command": "check-simonovits", "graph": "k5",
+                   "pattern": "triangle"},
+}
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["argv", "config"])
+@pytest.mark.parametrize("target", ["missing", "folder"])
+@pytest.mark.parametrize("option", sorted(OUTPUT_COMMANDS))
+def test_unwritable_output_path_exits_2_before_the_work(
+        tmp_path, monkeypatch, capsys, option, target, via_config):
+    def no_decision(*args):
+        raise AssertionError("decided a host")
+    monkeypatch.setattr(cli, "is_simonovits", no_decision)
+    if target == "folder":
+        path = tmp_path / "folder"
+        path.mkdir()
+    else:
+        path = tmp_path / "missing" / "x.out"
+    cfg = dict(OUTPUT_COMMANDS[option], **{option[2:].replace("-", "_"):
+                                           str(path)})
+    if via_config:
+        argv = ["run-config", _write_config(tmp_path, cfg)]
+    else:
+        argv = [cfg.pop("command")] + ["--%s=%s" % (k.replace("_", "-"), v)
+                                       for k, v in cfg.items()]
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err
+    assert ".tmp-" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+class _Sampled(Exception):
+    pass
+
+
+def test_scan_refuses_trials_that_would_share_streams(monkeypatch):
+    # trial t of cell c draws from stream c * 10007 + t: one more trial
+    # would reuse the next cell's first stream
+    def sample(*args):
+        raise _Sampled
+    monkeypatch.setattr(cli, "sample_gnp", sample)
+    with pytest.raises(cli.ConfigError):
+        cli.scan_threshold("triangle", [8], trials=10008)
+    with pytest.raises(_Sampled):
+        cli.scan_threshold("triangle", [8], trials=10007)
+    assert run(["scan-threshold", "--pattern", "triangle", "--n-grid", "8",
+                "--trials", "10008"]) == 2
+
+
 def test_scan_out_into_missing_directory_exits_2(tmp_path, capsys):
     assert run(["scan-threshold", "--pattern", "triangle", "--n-grid", "6",
                 "--trials", "1", "--no-timing",
@@ -351,6 +421,16 @@ def test_host_past_16_vertices_is_decided(capsys):
 def test_malformed_inline_graphs_are_config_errors():
     for spec in ("3:0-1,x", "3:0-1,1-3", "3:1-1", "3:0-1,1-0"):
         assert run(["analyze-pattern", "--pattern", spec]) == 2
+
+
+def test_refused_max_cut_exits_5(monkeypatch, capsys):
+    # the refusal comes from max_r_cut, before the listing and its fallback
+    monkeypatch.setattr(solvers, "NODE_CAP", 100)
+    k14 = "14:" + ",".join("%d-%d" % e for e in complete_graph(14).edges())
+    assert run(["check-simonovits", "--graph", k14,
+                "--pattern", "triangle"]) == 5
+    assert "guard refusal: max-cut search passed 100 nodes" \
+        in capsys.readouterr().err
 
 
 def test_enumeration_cap_exits_indeterminate(tmp_path, monkeypatch):

@@ -4,7 +4,10 @@ function.  numpy and scipy are imported only inside functions, so loading
 the package stays cheap for the commands that never reach them."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -90,3 +93,21 @@ def test_heavy_import_checker_skips_function_bodies():
               "def f():\n    import numpy\n    return numpy\n")
     assert _load_time_heavy_imports(source) == [
         (1, "numpy"), (2, "scipy.optimize"), (5, "scipy"), (7, "numpy.linalg")]
+
+
+def test_decision_loads_only_its_modules():
+    # a fresh interpreter deciding one small host, as the benchmark's set-up
+    # does, compiles these modules and nothing heavy
+    code = ("import sys\n"
+            "from simonovits.graph import complete_graph, graph_from_spec\n"
+            "from simonovits.solvers import is_simonovits\n"
+            "v = is_simonovits(complete_graph(5), graph_from_spec('triangle'))\n"
+            "assert v.decision == 'yes'\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0]\n"
+            "      in ('simonovits', 'numpy', 'scipy', 'dataclasses'))))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert res.stdout.split() == [
+        "simonovits", "simonovits.copies", "simonovits.graph",
+        "simonovits.patterns", "simonovits.solvers"]

@@ -20,7 +20,7 @@ from simonovits.solvers import (max_r_cut, local_max_cut, is_unfriendly,
                                 enumerate_optimal_H_free,
                                 free_edge_witness, is_simonovits,
                                 dense_peel, augment_rpartite, TooLargeError,
-                                EnumerationCapError, NODE_CAP, SOL_CAP)
+                                NODE_CAP, SOL_CAP)
 
 from test_graph import is_bipartite
 
@@ -311,7 +311,7 @@ def _reference_transversal_search(masks, tau):
     disjoint in their undecided elements.  Every minimal transversal of at
     most tau elements is a leaf, so a tau above the minimum ends at the
     first smaller leaf, and one below it finds none.  Raises
-    EnumerationCapError past SOL_CAP solutions or NODE_CAP nodes.
+    TooLargeError past SOL_CAP solutions or NODE_CAP nodes.
     """
     sols = []
     nodes = [0]
@@ -319,7 +319,7 @@ def _reference_transversal_search(masks, tau):
     def rec(act, kept, dele, d):
         nodes[0] += 1
         if nodes[0] > NODE_CAP:
-            raise EnumerationCapError("transversal search node cap")
+            raise TooLargeError("transversal search node cap")
         while True:
             nact = []
             forced = 0
@@ -357,7 +357,7 @@ def _reference_transversal_search(masks, tau):
                 raise _ShorterTransversal
             sols.append(dele)
             if len(sols) > SOL_CAP:
-                raise EnumerationCapError("transversal solution cap")
+                raise TooLargeError("transversal solution cap")
             return
         pick = min(act, key=lambda t: (t & ~kept).bit_count())
         x = pick & ~kept
@@ -470,11 +470,11 @@ def test_optimum_above_cut_runs_one_milp(monkeypatch, capped):
         # the enumeration stops at its first node, and the MILP decides
         with monkeypatch.context() as m:
             m.setattr(solvers, "NODE_CAP", 0)
-            with pytest.raises(EnumerationCapError):
+            with pytest.raises(TooLargeError):
                 enumerate_optimal_H_free(ABOVE_CUT, K3, 2)
 
         def capped_search(masks, tau):
-            raise EnumerationCapError("transversal search node cap")
+            raise TooLargeError("transversal search node cap")
         # NODE_CAP = 0 would refuse the max cut too, so cap the listing alone
         monkeypatch.setattr(solvers, "_transversal_search", capped_search)
     calls = []
@@ -532,7 +532,7 @@ def test_transversal_search_tree_size_on_complete_hosts(
     leaves = solvers._transversal_search(masks, tau)
     assert leaves and all(x.bit_count() == tau for x in leaves)
     monkeypatch.setattr(solvers, "NODE_CAP", nodes - 1)
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(TooLargeError):
         solvers._transversal_search(masks, tau)
 
 
@@ -559,7 +559,7 @@ def test_twin_skip_tree_size_on_complete_hosts(monkeypatch, n, pattern,
     monkeypatch.setattr(solvers, "NODE_CAP", nodes)
     assert solvers._transversal_search(masks, tau, twins) == []
     monkeypatch.setattr(solvers, "NODE_CAP", nodes - 1)
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(TooLargeError):
         solvers._transversal_search(masks, tau, twins)
 
 
@@ -596,7 +596,7 @@ def test_transversal_search_tree_size_when_minimising(monkeypatch):
     assert [x.bit_count() for x in leaves] == [low]
     assert leaves == _reference_transversal_search(masks, low)[:1]
     monkeypatch.setattr(solvers, "NODE_CAP", nodes - 1)
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(TooLargeError):
         solvers._transversal_search(masks, tau)
 
 
