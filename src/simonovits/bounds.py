@@ -1,16 +1,16 @@
 """Numeric evaluators for the explicit probabilistic bounds.
 
 Everything here is a plug-in calculator: lower-tail bounds for Poisson and
-hypergraph-matching variables, the parameter table for the switching
-argument, subgraph balance margins, and the closing summations.  All bound
-evaluators work in log-space and report both the raw log-bound and a
-probability clipped to [0, 1].  The constants the analysis leaves free are
-one fixed bundle, PAPER_DEFAULTS, read by every module that needs them.
+hypergraph-matching variables, subgraph balance margins, exact family
+moment checks, and the closing summations.  All bound evaluators work in
+log-space and report both the raw log-bound and a probability clipped to
+[0, 1].  The constants the analysis leaves free are one fixed bundle,
+PAPER_DEFAULTS, read by every module that needs them.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -32,9 +32,6 @@ class Constants:
     C_theta: float = 2.0
     C_hat: float = 1.0
     C_partial: float = 1.0
-
-    def as_dict(self):
-        return asdict(self)
 
 
 PAPER_DEFAULTS = Constants()
@@ -108,6 +105,8 @@ def balanced_condition_check(profile, n, p, C):
     1 < e < e_H, the exponent lambda = (v-2) - (e-1)/m2 by which the margin
     grows (as a power of n, at p proportional to n^(-1/m2)).
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     h = profile.pattern
     m2 = profile.m2
     if p < C * n ** (-1 / float(m2)):
@@ -137,55 +136,6 @@ def balanced_condition_check(profile, n, p, C):
     return {"applicable": True, "entries": entries, "all_hold": all_hold,
             "strictly_balanced": profile.strictly_balanced,
             "min_lambda": float(min_lambda) if min_lambda is not None else None}
-
-
-# -- parameter table -----------------------------------------------------
-
-def param_table(profile, n, p, eQ, kQ):
-    """Fill the parameter-table row matching the structure class and regime.
-
-    Classes: kQ > 0 means a star-union structure (QH row); otherwise the
-    low-degree structure is class 1 when e(Q) < kappa*n*p/log n and class 2
-    when e(Q) is at least that (closed on the dense side).  The sparse
-    regime applies when p <= C_theta * p_h, with p_h the pattern's
-    threshold at n.
-    """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    c = PAPER_DEFAULTS
-    v, e, r = profile.v, profile.e, profile.r
-    p_h = profile.p_threshold(n)
-    base = n ** (v - 2) * p ** (e - 1)       # n^(v-2) p^(e-1)
-    logn = math.log(n)
-    out = {"n": n, "p": p, "eQ": eQ, "kQ": kQ, "p_h": p_h,
-           "constants": c.as_dict(), "q": None}
-    if kQ > 0:
-        regime = "QH"
-        d = m = 32 * kQ * n * p
-        cap = min(kQ * n ** (v - 1) * p ** e, n * n * p)
-        D = 2 * v * cap / m if m > 0 else math.inf
-    else:
-        sparse = p <= c.C_theta * p_h
-        dense_class2 = eQ >= c.kappa * n * p / logn
-        if sparse:
-            regime = "QL_sparse"
-            d = min(math.sqrt(c.eta) * eQ * logn, c.beta * n * n * p)
-            m = c.kappa * base * eQ
-            D = 4 * e * e / c.kappa
-        elif not dense_class2:
-            regime = "QL1_dense"
-            d = m = 8 * r * eQ
-            D = n * n * p / d if d > 0 else math.inf
-        else:
-            regime = "QL2_dense"
-            q = c.C_hat * logn / (c.kappa * base)
-            out["q"] = q
-            d = min(math.sqrt(c.eta) * eQ * logn, c.beta * n * n * p)
-            m = c.kappa * base * q * eQ
-            D = c.C_partial / c.kappa
-    nu = m + (r * r + 1) * (d + 1)
-    out.update({"regime": regime, "d_Q": d, "m_Q": m, "D_Q": D, "nu_Q": nu})
-    return out
 
 
 # -- exact family moment checks ------------------------------------------

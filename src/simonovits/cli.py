@@ -471,10 +471,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except ConfigError as exc:
-        sys.stderr.write("config error: %s\n" % exc)
-        return EXIT_CONFIG
-    except (KeyError, ValueError, OSError) as exc:
+    except (ConfigError, KeyError, ValueError, OSError) as exc:
         # OSError: a path that names a directory or lies in a missing one
         sys.stderr.write("config error: %s\n" % exc)
         return EXIT_CONFIG

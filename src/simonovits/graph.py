@@ -351,9 +351,6 @@ class PartTuple:
     def r(self):
         return len(self.parts)
 
-    def is_complete(self):
-        return sum(len(p) for p in self.parts) == self.n
-
     def ext_mask(self):
         """Bitmask of crossing pairs of K_n (pairs spanning two distinct parts)."""
         return pair_mask(self.n, ((u, v) for (pa, pb) in
@@ -379,21 +376,6 @@ class PartTuple:
     def __repr__(self):
         return "PartTuple(n=%d, sizes=%s)" % (
             self.n, tuple(len(p) for p in self.parts))
-
-
-def ext_int(g, partition):
-    """Split the edges of g into (crossing, internal) subgraphs for a partition.
-
-    Edges with an endpoint outside the partition's support count as neither and
-    are dropped from both.
-    """
-    assign = partition.assignment()
-    ext_edges, int_edges = [], []
-    for (u, v) in g.edges():
-        if assign[u] < 0 or assign[v] < 0:
-            continue
-        (ext_edges if assign[u] != assign[v] else int_edges).append((u, v))
-    return Graph(g.n, ext_edges), Graph(g.n, int_edges)
 
 
 def is_delta_balanced(partition, delta):

@@ -29,7 +29,7 @@ search past its node cap, leaves the host to the listing.
 import functools
 import random
 
-from .graph import Graph, PartTuple, TooLargeError, ext_int
+from .graph import Graph, PartTuple, TooLargeError
 from .copies import enumerate_copies
 from .patterns import is_edge_critical, dense_min_degree_bound
 
@@ -722,25 +722,3 @@ def dense_peel(g, h):
     return {"trace": trace, "terminal_vertices": sorted(active),
             "terminal": terminal, "peeled_subgraph": f}, is_rp
 
-
-def augment_rpartite(g, gprime_part):
-    """Extend an r-partite subgraph to a larger r-partite subgraph.
-
-    gprime_part: PartTuple covering the vertices of an r-partite subgraph
-    G' of g.  The remaining vertices get parts from an unfriendly local
-    search on their induced subgraph, so the crossing edges of the combined
-    partition number at least e(G') + (r-1)/r * e(g - V(G')).
-    Returns (PartTuple over all vertices, crossing subgraph of g).
-    """
-    r = gprime_part.r()
-    assign = gprime_part.assignment()
-    inside = [v for v in range(g.n) if assign[v] >= 0]
-    outside = [v for v in range(g.n) if assign[v] < 0]
-    sub = g.induced_in_place(outside)
-    part, _ = local_max_cut(sub, r, seed=0)
-    sub_assign = part.assignment()
-    for v in outside:
-        assign[v] = sub_assign[v]
-    full = PartTuple.from_assignment(assign, r)
-    ext, _ = ext_int(g, full)
-    return full, ext

@@ -1,15 +1,12 @@
 """Constructive gadgets: edge colouring, degree-bounded subgraphs, the
-two-case construction of the coloured structure Q from a cut, the sequential
-neighbourhood hypergraph, the anchored high-degree family, and family
-sparsification."""
+two-case construction of the coloured structure Q from a cut, and the
+sequential neighbourhood hypergraph."""
 
 import itertools
 import math
-import random
 
-from .graph import Graph, ColoredGraph, TooLargeError, pair_mask
-from .copies import (canonical_family, residual_family, janson_moments,
-                     subset_counts, induce)
+from .graph import Graph, ColoredGraph, TooLargeError
+from .copies import subset_counts
 from .bounds import PAPER_DEFAULTS, upper_tail_rho
 
 
@@ -220,7 +217,7 @@ def _max_bounded_subgraph(i, cap, exact_limit=24):
     return g, "greedy"
 
 
-def construct_QF(f, cut, p=None):
+def construct_QF(f, cut, p):
     """Build the coloured structure Q from a graph f and a canonical cut.
 
     Case 1 (low-degree part dominates): the largest subgraph of the first
@@ -230,8 +227,6 @@ def construct_QF(f, cut, p=None):
     a largest 2-cut, and a star union padded so each centre has exactly
     ceil(eta*n*p) neighbours in every colour class.
     """
-    if p is None:
-        raise ValueError("p required")
     eta, kappa = PAPER_DEFAULTS.eta, PAPER_DEFAULTS.kappa
     n = f.n
     r = cut.r()
@@ -377,7 +372,7 @@ class VertexHypergraph:
                 for j in range(1, ell + 1)}
 
 
-def neighbourhood_hypergraph(g, qfam, l_vector, p=None):
+def neighbourhood_hypergraph(g, qfam, l_vector, p):
     """Sequential good/bad-centre construction of a fresh-sets hypergraph.
 
     Processes the centres in order; a centre is good when at most half of
@@ -388,8 +383,6 @@ def neighbourhood_hypergraph(g, qfam, l_vector, p=None):
     """
     if qfam.kind != "QH":
         raise ValueError("needs a star-union structure")
-    if p is None:
-        raise ValueError("p required")
     q = qfam.q
     n = g.n
     ell = sum(l_vector)
@@ -483,91 +476,3 @@ def neighbourhood_hypergraph(g, qfam, l_vector, p=None):
     trace["caps"] = caps
     return hyp
 
-
-# -- anchored high-degree family -----------------------------------------
-
-def build_high_family(qfam, h, g_hyper):
-    """Residuals omega with omega + star(centre, U) forming a pattern copy,
-    over the hyperedges U of g_hyper.  Returns (canonical family, flagged)."""
-    from .copies import critical_edge_and_anchor, embeddings
-    q = qfam.q
-    n = q.graph.n
-    q_mask = q.graph.edge_mask()
-    if len(g_hyper) == 0:
-        return [], True
-    f, anchor = critical_edge_and_anchor(h)
-    host = Graph(n, list(itertools.combinations(range(n), 2)))
-    outside = [v for v in range(n) if v not in q.centres]
-    # star edges carry the anchor's neighbours minus the critical partner
-    nbrs = sorted(h.without_edge(*f).neighbours(anchor))
-    rest = [v for v in range(h.n) if v != anchor and v not in nbrs]
-    out = set()
-    for u_set in g_hyper.edges:
-        if len(u_set) != len(nbrs):
-            continue
-        v_u = g_hyper.centre_of[u_set]
-        fixed = {anchor: [v_u]}
-        for w in nbrs:
-            fixed[w] = sorted(u_set)
-        for w in rest:
-            fixed[w] = outside
-        star = pair_mask(n, ((v_u, x) for x in u_set))
-        # nbrs map injectively onto u_set, so every copy uses the full star
-        for img in embeddings(h, host, fixed):
-            copy = pair_mask(n, ((img[a], img[b]) for (a, b) in h.edges()))
-            omega = copy & ~star
-            if omega & q_mask:
-                continue
-            out.add(omega)
-    return canonical_family(out), False
-
-
-# -- sparsification ------------------------------------------------------
-
-def sparsify_families(copies, q_prob, N, seed, check=None):
-    """N independent q-thinned subfamilies of a copy family, each a
-    canonical family; the input is put in canonical order first.
-
-    With check = {"h", "q", "p", "s_list"} supplied, evaluates for each
-    sample the two moment conditions relative to the full low residual
-    family: restricted first moments at least q/2 of the originals, second
-    moment at most 2 q^2 times the original.  Reports the first index where
-    both hold.
-    """
-    if not 0 <= q_prob <= 1:
-        raise ValueError("q out of range")
-    copies = canonical_family(copies)
-    rng = random.Random(seed)
-    samples = []
-    for _ in range(N):
-        samples.append([a for a in copies if rng.random() < q_prob])
-    report = {"N": N, "q": q_prob, "checks": None, "first_pass": None}
-    if check is None:
-        return samples, report
-
-    h, q, p = check["h"], check["q"], check["p"]
-    s_list = check["s_list"]
-    n = (q.graph if isinstance(q, ColoredGraph) else q).n
-    fam_full, completions = residual_family(h, q, n, "low")
-    ext_masks = [s.ext_mask() for s in s_list]
-    base_mu = [janson_moments(induce(fam_full, e), p)["mu"]
-               for e in ext_masks]
-    base_delta = janson_moments(fam_full, p)["delta"]
-    checks = []
-    first = None
-    out = []
-    for i, sample in enumerate(samples):
-        sset = set(sample)
-        sub = canonical_family(resid for resid, comps in completions.items()
-                               if any(c in sset for c in comps))
-        out.append(sub)
-        b1 = all(janson_moments(induce(sub, e), p)["mu"]
-                 >= (q_prob / 2) * bm - 1e-12
-                 for e, bm in zip(ext_masks, base_mu))
-        d = janson_moments(sub, p)["delta"]
-        b2 = d <= 2 * q_prob * q_prob * base_delta + 1e-12
-        checks.append({"index": i, "B1": b1, "B2": b2})
-        if b1 and b2 and first is None:
-            first = i
-    report.update({"checks": checks, "first_pass": first})
-    return out, report

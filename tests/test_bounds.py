@@ -11,8 +11,7 @@ from simonovits import bounds
 from simonovits.bounds import (poisson_lower_tail, janson_matching_bound,
                                janson_corollaries, upper_tail_rho,
                                upper_tail_bound, balanced_condition_check,
-                               param_table, mu_delta_lemma_check,
-                               sufficiency_sum)
+                               mu_delta_lemma_check, sufficiency_sum)
 
 
 def _poisson_cdf(mu, k):
@@ -87,25 +86,6 @@ def test_balanced_condition_k4_lambda():
     # smallest exponent among proper subgraphs: triangle inside K4,
     # lambda = (3-2) - 2/(5/2) = 1/5
     assert abs(rep["min_lambda"] - 0.2) < 1e-12
-
-
-def test_param_table_regimes():
-    prof = PatternProfile(named_graph("triangle"))
-    n = 1000
-    p_h = prof.p_threshold(n)
-    t = param_table(prof, n, p_h, eQ=50, kQ=0)
-    assert t["regime"] == "QL_sparse"
-    t = param_table(prof, n, 0.5, eQ=1, kQ=0)
-    assert t["regime"] == "QL1_dense"
-    assert t["d_Q"] == t["m_Q"] == 8 * prof.r * 1
-    t = param_table(prof, n, 0.5, eQ=10 ** 4, kQ=0)
-    assert t["regime"] == "QL2_dense"
-    assert t["q"] is not None
-    t = param_table(prof, n, 0.5, eQ=100, kQ=20)
-    assert t["regime"] == "QH"
-    assert t["m_Q"] == 32 * 20 * n * 0.5
-    # nu = m + (r^2 + 1)(d + 1) in every regime
-    assert abs(t["nu_Q"] - (t["m_Q"] + (prof.r ** 2 + 1) * (t["d_Q"] + 1))) < 1e-9
 
 
 def test_mu_delta_fql_exact():

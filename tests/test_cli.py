@@ -145,6 +145,14 @@ def test_verify_lemma_pif_balanced_refuses_zero_trials(capsys):
     assert "trials must be at least 1" in capsys.readouterr().err
 
 
+def test_verify_lemma_balanced_refuses_n_below_one(capsys):
+    for n in ("0", "-3"):
+        assert run(["verify-lemma", "--lemma", "balanced", "--n", n]) == 2
+        assert capsys.readouterr().err == "config error: need n >= 1\n"
+    assert run(["verify-lemma", "--lemma", "balanced", "--n", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["applicable"] is False
+
+
 def test_verify_lemma_pif_balanced(tmp_path):
     out = tmp_path / "pif.json"
     assert run(["verify-lemma", "--lemma", "pif-balanced", "--n", "10",

@@ -8,7 +8,7 @@ from simonovits.graph import (Graph, PartTuple, ColoredGraph, edge_index,
                               cycle_graph,
                               complete_multipartite, blowup_plus,
                               disjoint_union, petersen_graph, named_graph,
-                              ext_int, is_delta_balanced)
+                              is_delta_balanced)
 
 
 def is_bipartite(g):
@@ -105,22 +105,6 @@ def test_parttuple_assignment_roundtrip():
 def test_parttuple_rejects_overlap():
     with pytest.raises(ValueError):
         PartTuple(4, [{0, 1}, {1, 2}])
-
-
-def test_ext_int_split():
-    g = complete_graph(4)
-    part = PartTuple.from_assignment([0, 0, 1, 1])
-    ext, internal = ext_int(g, part)
-    assert ext.edge_count() == 4
-    assert internal.edge_count() == 2
-
-
-def test_ext_int_drops_unsupported():
-    g = complete_graph(4)
-    part = PartTuple.from_assignment([0, 1, -1, -1], 2)
-    ext, internal = ext_int(g, part)
-    assert ext.edge_count() == 1
-    assert internal.edge_count() == 0
 
 
 def test_delta_balanced():

@@ -1,8 +1,14 @@
-"""Every optional parameter in the package is set by some call: an option
-that no call in the package, its tests or its benchmark passes always takes
-its default, so it is a constant spelled as a parameter.  Calls are matched
-to definitions by name alone, which can only hide an unset option, never
-invent one."""
+"""Every optional parameter in the package is set by some call, and every
+definition has a caller outside the tests.
+
+An option that no call in the package, its tests or its benchmark passes
+always takes its default, so it is a constant spelled as a parameter.  A
+function, class or method that nothing in the package or its benchmark
+names is code that only its own tests keep alive.  Both checks match names
+alone, which can only hide a finding, never invent one: an `as_dict` method
+on `Constants` that nothing calls would pass the caller check, because
+`as_dict` also names the methods of `PatternProfile` and `SimonovitsVerdict`
+that the CLI calls."""
 
 import ast
 import pathlib
@@ -118,3 +124,127 @@ def test_checker_sees_keyword_positional_and_method_options():
         ("f", "b", 1), ("f", "c", 2), ("f", "d", None),
         ("g", "x", 0), ("g", "y", 1), ("h", "u", 0)]
     assert _unset([source], [source]) == [("f", "c"), ("g", "y")]
+
+
+# definitions that only tests reach, kept on purpose, with the reason
+UNCALLED = {
+    "structure.construct_QF": "the acceptance suite builds Q with it",
+    "structure.neighbourhood_hypergraph":
+        "the acceptance suite builds the fresh-sets hypergraph with it",
+    "rigidity.crit_edges": "the acceptance suite's rigidity checks",
+    "rigidity.deficit": "the acceptance suite's switching checks",
+    "rigidity.equivalence_and_rigidity":
+        "the acceptance suite's rigidity checks",
+    "solvers.dense_peel": "the acceptance suite's appendix peeling check",
+    "solvers.is_unfriendly": "the oracle for local_max_cut's local optimum",
+    "structure.check_edge_colouring": "the oracle for vizing_color",
+    "graph.blowup_plus": "builds the blown-up test hosts",
+    "graph.disjoint_union": "builds the disconnected test hosts",
+    "graph.PartTuple.canonical": "the oracle for a rigidity core's parts",
+}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(sources):
+    """(qualified name, name, source key, first line, last line) of each
+    top-level function and class and each method, dunders left out; a
+    source is a (key, module name, text) triple."""
+    found = []
+    for key, module, text in sources:
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)) or _is_dunder(node.name):
+                continue
+            qual = module + "." + node.name
+            found.append((qual, node.name, key, node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    (qual + "." + m.name, m.name, key, m.lineno, m.end_lineno)
+                    for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not _is_dunder(m.name))
+    return found
+
+
+def _names(sources):
+    """(name, source key, line) of each identifier, attribute and string
+    that equals a name (as in __all__), over the sources; imports do not
+    count."""
+    found = []
+    for key, _, text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and \
+                    isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            found.append((name, key, node.lineno))
+    return found
+
+
+def _uncalled(def_sources, name_sources, kept=()):
+    """Qualified names of the definitions that nothing names outside their
+    own body and the bodies of other uncalled definitions.  A kept
+    definition is never uncalled, so the names in its body count."""
+    defs = _definitions(def_sources)
+    names = _names(name_sources)
+    dead = set()
+
+    def inside(ref, d):
+        _, _, key, first, last = d
+        return ref[1] == key and first <= ref[2] <= last
+
+    def named(d):
+        return any(ref[0] == d[1] and not inside(ref, d)
+                   and not any(inside(ref, x) for x in defs if x[0] in dead)
+                   for ref in names)
+
+    changed = True
+    while changed:
+        changed = False
+        for d in defs:
+            if d[0] not in dead and d[0] not in kept and not named(d):
+                dead.add(d[0])
+                changed = True
+    return dead
+
+
+def _package_sources():
+    defs = [(str(p), p.stem, p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    names = [(str(p), p.stem, p.read_text())
+             for d in (ROOT / "src", ROOT / "perfbench")
+             for p in sorted(d.rglob("*.py"))]
+    return defs, names
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    defs, names = _package_sources()
+    assert _uncalled(defs, names, kept=UNCALLED) == set()
+
+
+def test_kept_definitions_still_have_no_caller():
+    defs, names = _package_sources()
+    assert set(UNCALLED) <= _uncalled(defs, names)
+
+
+def test_caller_check_follows_dead_code_and_skips_dunders():
+    source = ("import os\n"
+              "def used():\n    return helper()\n"
+              "def helper():\n    return 1\n"
+              "def dead():\n    return only_dead()\n"
+              "def only_dead():\n    return only_dead()\n"
+              "class A:\n    def m(self):\n        pass\n"
+              "    def __len__(self):\n        return 0\n"
+              "def __getattr__(name):\n    pass\n"
+              "__all__ = ['A']\n"
+              "used()\n")
+    src = [("f", "f", source)]
+    assert _uncalled(src, src) == {"f.dead", "f.only_dead", "f.A.m"}
+    assert _uncalled(src, src, kept={"f.dead"}) == {"f.A.m"}

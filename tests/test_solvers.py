@@ -19,7 +19,7 @@ from simonovits.solvers import (max_r_cut, local_max_cut, is_unfriendly,
                                 canonical_cut, max_H_free,
                                 enumerate_optimal_H_free,
                                 free_edge_witness, is_simonovits,
-                                dense_peel, augment_rpartite, TooLargeError,
+                                dense_peel, TooLargeError,
                                 NODE_CAP, SOL_CAP)
 
 from test_graph import is_bipartite
@@ -816,13 +816,3 @@ def test_dense_peel_on_complete_graph():
     assert is_rp
     assert is_bipartite(info["peeled_subgraph"])
 
-
-def test_augment_rpartite_extends():
-    g = complete_graph(6)
-    part = PartTuple.from_assignment([0, 1, -1, -1, -1, -1], 2)
-    full_part, crossing = augment_rpartite(g, part)
-    assert full_part.is_complete()
-    assert is_bipartite(crossing)
-    # the crossing subgraph keeps the original part's edge and grows
-    assert crossing.has_edge(0, 1)
-    assert crossing.edge_count() >= 4

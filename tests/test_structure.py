@@ -4,19 +4,16 @@ import random
 import pytest
 
 from simonovits.graph import (Graph, ColoredGraph, PartTuple,
-                              complete_graph, named_graph, bitset_members)
+                              complete_graph, named_graph)
 from simonovits.randgraphs import RngStream, sample_gnp
 from simonovits.solvers import local_max_cut
-from simonovits.copies import copies_as_hypergraph, residual_family
+from simonovits.copies import copies_as_hypergraph
 from simonovits import structure
 from simonovits.structure import (vizing_color, check_edge_colouring,
                                   bounded_degree_subgraph,
                                   _max_bounded_subgraph, construct_QF,
                                   ConstructionInfeasible,
-                                  neighbourhood_hypergraph,
-                                  build_high_family, sparsify_families)
-
-K3 = named_graph("triangle")
+                                  neighbourhood_hypergraph)
 
 
 def test_vizing_small_fixed_graphs():
@@ -125,7 +122,7 @@ def test_construct_qf_empty_internal():
 
 def test_construct_qf_requires_p():
     g, cut = _qf_instance(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         construct_QF(g, cut)
 
 
@@ -160,54 +157,3 @@ def test_neighbourhood_hypergraph_rejects_low_structure():
     with pytest.raises(ValueError):
         neighbourhood_hypergraph(g, qf, [1], p=0.5)
 
-
-def test_build_high_family_star_consumed():
-    g, cut, qf = _qh_fixture()
-    hyp = neighbourhood_hypergraph(g, qf, [0, 1], p=0.5)
-    fam, flagged = build_high_family(qf, K3, hyp)
-    assert not flagged or len(hyp) == 0
-    q_mask = qf.q.graph.edge_mask()
-    for omega in fam:
-        # residuals avoid the structure edges entirely
-        assert not omega & q_mask
-        # a triangle anchored on a single star edge leaves two free edges
-        assert omega.bit_count() == 2
-
-
-def _canonical(family):
-    return family == sorted(set(family), key=bitset_members)
-
-
-def test_structure_families_come_distinct_in_canonical_order():
-    g, cut, qf = _qh_fixture()
-    hyp = neighbourhood_hypergraph(g, qf, [0, 1], p=0.5)
-    fam, _ = build_high_family(qf, K3, hyp)
-    assert fam and _canonical(fam)
-    n = 10
-    q = Graph(n, [(0, 1), (2, 3)])
-    _, comps = residual_family(K3, q, n, "low")
-    # completions in reverse, twice: the input order and repeats are dropped
-    copies = [c for cl in comps.values() for c in cl][::-1] * 2
-    s = PartTuple.from_assignment([i % 2 for i in range(n)])
-    for check in (None, {"h": K3, "q": q, "p": 0.3, "s_list": [s]}):
-        subs, _ = sparsify_families(copies, 0.5, 4, seed=3, check=check)
-        assert all(x and _canonical(x) for x in subs)
-
-
-def test_sparsify_families_report():
-    n = 10
-    q = Graph(n, [(0, 1)])
-    fam_low, comps = residual_family(K3, q, n, "low")
-    full = [c for cl in comps.values() for c in cl]
-    s = PartTuple.from_assignment([i % 2 for i in range(n)])
-    subs, rep = sparsify_families(full, 0.5, 8, seed=3,
-                                  check={"h": K3, "q": q, "p": 0.3,
-                                         "s_list": [s]})
-    assert len(subs) == 8
-    assert rep["first_pass"] is not None
-    assert all(set(x) <= set(fam_low) for x in subs)
-
-
-def test_sparsify_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        sparsify_families([], 1.5, 1, 0)
