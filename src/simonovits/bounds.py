@@ -105,8 +105,6 @@ def balanced_condition_check(profile, n, p, C):
     1 < e < e_H, the exponent lambda = (v-2) - (e-1)/m2 by which the margin
     grows (as a power of n, at p proportional to n^(-1/m2)).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     h = profile.pattern
     m2 = profile.m2
     if p < C * n ** (-1 / float(m2)):

@@ -203,7 +203,7 @@ def simulate_switching(pattern="triangle", n=12, p=0.5, runs=10, rounds=200,
         vals = fam.values(g.edge_mask())
         cut = fam.cut(_stable_kth(vals,
                                   (t * len(vals) // max(1, runs)) % len(vals)))
-        trace = run_switching(g, q, cut, fam_resid, fam, m=m, L=rounds,
+        trace = run_switching(g, q, cut, fam_resid, fam, vals, m=m, L=rounds,
                               seed=seed * 1000003 + t, p=p)
         check = validate_trace(trace, q, cut, d=n * n, fam=fam,
                                fam_resid=fam_resid, m=m, p=p)
@@ -230,7 +230,14 @@ def cmd_simulate_switching(args):
 def verify_lemma(lemma, pattern="triangle", n=12, p=0.6, delta=0.4,
                  trials=50, seed=0, sizes=None, beta=0.01, c=1.0):
     """Standardised verification report for one named bound or lemma.  Only
-    the lemmas that read the pattern resolve it."""
+    the lemmas that read the pattern resolve it, and only those that read
+    n and p check them."""
+    if lemma in ("uppertail", "balanced", "sum", "fql", "high",
+                 "pif-balanced"):
+        if n < 1:
+            raise ConfigError("need n >= 1")
+        if not 0 <= p <= 1:
+            raise ConfigError("need 0 <= p <= 1")
     if lemma == "poisson":
         cases = [(5.0, 0.1), (10.0, 0.5), (20.0, 0.9)]
         return {"lemma": lemma,

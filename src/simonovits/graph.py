@@ -33,25 +33,6 @@ def all_pairs(n):
     return itertools.combinations(range(n), 2)
 
 
-# assignments per chunk: larger chunks raise the peak memory of their
-# callers' temporaries and gain no speed
-_CHUNK = 1 << 12
-
-
-def assignment_chunks(n, r):
-    """Every assignment of [n] to parts 0..r-1, in itertools.product order,
-    as 2-D numpy arrays of up to 2^12 rows; row i of the whole sequence is
-    the base-r digits of i, most significant first, in the smallest
-    unsigned type that holds r - 1."""
-    import numpy as np
-    place = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    digit_type = np.min_scalar_type(r - 1)
-    total = r ** n
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        yield (idx[:, None] // place % r).astype(digit_type)
-
-
 class Graph:
     """Simple undirected graph with bitset adjacency rows.
 

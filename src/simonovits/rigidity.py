@@ -16,12 +16,14 @@ import functools
 import math
 import random
 
-from .graph import PartTuple, TooLargeError, pair_mask, bitset_members, \
-    assignment_chunks
+from .graph import PartTuple, TooLargeError, pair_mask, bitset_members
 from .bounds import PAPER_DEFAULTS
 
 FAMILY_GUARD = 10 ** 8          # assignments enumerated
 FAMILY_BYTES = 2 ** 30          # bytes kept
+# most rows of a family's low half-table, so of each chunk it writes:
+# larger chunks raise the peak memory of the build's temporaries
+_CHUNK = 1 << 12
 _WORD = (1 << 64) - 1
 
 
@@ -41,6 +43,17 @@ class CutFamily:
     contiguous bytes.  All are allocated once, at the size the balance
     window allows, after two guards: at most ``FAMILY_GUARD``
     assignments enumerated and at most ``FAMILY_BYTES`` kept.
+
+    The rows are built from two half-tables (``_half_table``): the
+    uncoloured vertices split into a high prefix, whose table starts from
+    the pinned row, and a low suffix of at most ``_CHUNK`` assignments.
+    A pair crosses exactly when exactly one of its ends lies in some part
+    k < r-1 (a pair with both ends in part r-1 does not cross), so an
+    assignment's crossing words are the OR over those k of the XOR of the
+    star words of part k's vertices, and each table keeps those XORs per
+    row.  Each high row then yields one chunk of the family: the low rows
+    that its part counts keep balanced, their digits ORed with its digits
+    and, for each k, their XORs with its XOR.
     """
 
     def __init__(self, n, r, delta, q=None):
@@ -70,28 +83,45 @@ class CutFamily:
         if total * row_bytes > FAMILY_BYTES:
             raise TooLargeError("cut family too large: %d cuts of %d bytes"
                                 % (total, row_bytes))
-        us, vs = np.triu_indices(n, 1)      # pairs in edge_index order
         self.assignments = np.empty((total, n), digit)
         self._words = np.empty((n_words, total), np.uint64)
         self._planes = np.empty((8 * n_words, total), np.uint8)
-        row = np.array([pinned.get(v, 0) for v in range(n)],
-                       self.assignments.dtype)
+        stars = np.frombuffer(b"".join(
+            m.to_bytes(8 * n_words, "little") for m in _vertex_pairs(n)),
+            "<u8").reshape(n, n_words)
+        low = len(free)
+        while r ** low > _CHUNK:
+            low -= 1
+        split = len(free) - low
+        high_digits, high_counts, high_acc = _half_table(
+            r, free[:split], pinned, stars, digit)
+        low_digits, low_counts, low_acc = _half_table(
+            r, free[split:], {}, stars, digit)
+        # the high rows' XORs as columns: (r-1, rows, words or planes, 1)
+        high_words = high_acc[..., None]
+        high_planes = _bytes(high_acc)[..., None]
+        # high part counts -> the low rows they keep balanced, laid out as
+        # the family is (digits by row, XORs by word and by byte plane) so
+        # that each chunk is written without a transpose
+        kept = {}
         at = 0
-        for chunk in assignment_chunks(len(free), r):
-            digits = np.tile(row, (len(chunk), 1))
-            digits[:, free] = chunk
-            keep = np.ones(len(digits), dtype=bool)
-            for k in range(r):
-                size = np.count_nonzero(digits == k, axis=1)
-                keep &= (lo <= size) & (size <= hi)
-            digits = digits[keep]
+        for i, counts in enumerate(high_counts):
+            key = counts.tobytes()
+            if key not in kept:
+                sizes = low_counts + counts
+                keep = ((lo <= sizes) & (sizes <= hi)).all(axis=1)
+                acc = low_acc[:, keep]
+                kept[key] = (low_digits[keep],
+                             acc.transpose(0, 2, 1).copy(),
+                             _bytes(acc).transpose(0, 2, 1).copy())
+            digits, words, planes = kept[key]
             end = at + len(digits)
-            cross = np.zeros((len(digits), n_words * 64), dtype=bool)
-            np.not_equal(digits[:, us], digits[:, vs], out=cross[:, :len(us)])
-            packed = np.packbits(cross, axis=1, bitorder="little")
-            self.assignments[at:end] = digits
-            self._words[:, at:end] = packed.view("<u8").T
-            self._planes[:, at:end] = packed.T
+            np.bitwise_or(digits, high_digits[i],
+                          out=self.assignments[at:end])
+            np.bitwise_or.reduce(words ^ high_words[:, i], axis=0,
+                                 out=self._words[:, at:end])
+            np.bitwise_or.reduce(planes ^ high_planes[:, i], axis=0,
+                                 out=self._planes[:, at:end])
             at = end
 
     def __len__(self):
@@ -141,6 +171,41 @@ class CutFamily:
         import numpy as np
         words = np.bitwise_and.reduce(self._words[:, ids], axis=1)
         return int.from_bytes(words.astype("<u8").tobytes(), "little")
+
+
+def _half_table(r, vertices, pinned, stars, digit):
+    """Every assignment of vertices to parts 0..r-1, with each pinned
+    vertex in its part, in ``itertools.product`` order: (digits, counts,
+    acc).  Row i of digits holds the assignment's digits (0 in the columns
+    of other vertices), counts[i, k] the vertices in part k, and acc[k, i]
+    the XOR of the star words (stars[v]: the pairs touching v) of the
+    vertices in part k, for k < r-1.  Built one vertex at a time: row i
+    becomes rows r*i .. r*i + r-1, one per part of the new vertex."""
+    import numpy as np
+    n, n_words = stars.shape
+    digits = np.zeros((1, n), digit)
+    counts = np.zeros((1, r), np.int64)
+    acc = np.zeros((r - 1, 1, n_words), np.uint64)
+    for v, k in pinned.items():
+        digits[0, v] = k
+        counts[0, k] += 1
+        if k < r - 1:
+            acc[k, 0] ^= stars[v]
+    for v in vertices:
+        digits = np.repeat(digits, r, axis=0)
+        digits.reshape(-1, r, n)[:, :, v] = np.arange(r)
+        counts = (counts[:, None] + np.eye(r, dtype=np.int64)).reshape(-1, r)
+        acc = np.repeat(acc, r, axis=1)
+        for k in range(r - 1):
+            acc[k, k::r] ^= stars[v]
+    return digits, counts, acc
+
+
+def _bytes(words):
+    """The bytes of 64-bit words, least significant first, as a uint8
+    array with 8 times as many entries on the last axis."""
+    import numpy as np
+    return np.ascontiguousarray(words, "<u8").view(np.uint8)
 
 
 def _balanced_count(f, r, allowed):
@@ -335,16 +400,16 @@ def _switch_branch(run, g_mask, f_mask, vals):
     return "stuck", None, b
 
 
-def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0, p=None):
+def run_switching(g0, q, cut, fam_resid, fam, vals, m, L, seed=0, p=None):
     """Execute the switching algorithm for L rounds or until it stops.
 
     q: ColoredGraph structure contained in g0; cut: compatible balanced
     partition; fam_resid: residual family (subsets of non-q pairs of K_n);
-    fam: the CutFamily; m: the step-(a) threshold; gamma = alpha/(24r), from
-    PAPER_DEFAULTS, is recorded in the trace.  Removals and additions
+    fam: the CutFamily; vals: its scores of g0,
+    ``fam.values(g0.edge_mask())``, which each step moves in place by the
+    one pair it changed; m: the step-(a) threshold; gamma = alpha/(24r),
+    from PAPER_DEFAULTS, is recorded in the trace.  Removals and additions
     are drawn uniformly from the sorted choice sets via the seeded stream.
-    The family is scored once, and each step moves the scores by the one
-    pair it changed.
     """
     n = g0.n
     if p is None:
@@ -360,7 +425,6 @@ def run_switching(g0, q, cut, fam_resid, fam, m, L, seed=0, p=None):
               "alpha": alpha}
     trace = SwitchTrace(n, g_mask, params)
     f_mask = 0
-    vals = fam.values(g_mask)
     for i in range(L):
         typ, choice, _ = _switch_branch(run, g_mask, f_mask, vals)
         if typ == "e":

@@ -264,8 +264,8 @@ def test_switching_validator(capsys):
             order = sorted(range(len(fam)), key=lambda i: vals[i])
             cut = fam.cut(order[(t * 7) % (len(order) // 2 + 1)])
             _, d0 = deficit(cut, g, fam)
-            tr = run_switching(g, q, cut, fam_resid, fam, m=2, L=200,
-                               seed=t, p=p)
+            tr = run_switching(g, q, cut, fam_resid, fam, fam.values(gm),
+                               m=2, L=200, seed=t, p=p)
             res = validate_trace(tr, q, cut, d=d0, fam=fam,
                                  fam_resid=fam_resid, m=2, p=p)
             assert res["ok"], (t, res["violations"])

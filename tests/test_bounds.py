@@ -4,10 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from simonovits.graph import (Graph, PartTuple, ColoredGraph, named_graph,
-                              cycle_graph)
+from simonovits.graph import Graph, PartTuple, ColoredGraph, named_graph
 from simonovits.patterns import PatternProfile
-from simonovits import bounds
 from simonovits.bounds import (poisson_lower_tail, janson_matching_bound,
                                janson_corollaries, upper_tail_rho,
                                upper_tail_bound, balanced_condition_check,

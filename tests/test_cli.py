@@ -153,6 +153,19 @@ def test_verify_lemma_balanced_refuses_n_below_one(capsys):
     assert json.loads(capsys.readouterr().out)["applicable"] is False
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--lemma", "pif-balanced", "--n", "-2", "--trials", "1"],
+     "need n >= 1"),
+    (["--lemma", "sum", "--n", "0"], "need n >= 1"),
+    (["--lemma", "balanced", "--p", "1.5"], "need 0 <= p <= 1"),
+], ids=["pif-balanced-n", "sum-n", "balanced-p"])
+def test_verify_lemma_refuses_meaningless_n_and_p(capsys, argv, message):
+    assert run(["verify-lemma", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: %s\n" % message
+
+
 def test_verify_lemma_pif_balanced(tmp_path):
     out = tmp_path / "pif.json"
     assert run(["verify-lemma", "--lemma", "pif-balanced", "--n", "10",

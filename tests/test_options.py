@@ -1,5 +1,6 @@
-"""Every optional parameter in the package is set by some call, and every
-definition has a caller outside the tests.
+"""Every optional parameter in the package is set by some call, every
+definition has a caller outside the tests, and every imported name is
+used.
 
 An option that no call in the package, its tests or its benchmark passes
 always takes its default, so it is a constant spelled as a parameter.  A
@@ -8,7 +9,8 @@ names is code that only its own tests keep alive.  Both checks match names
 alone, which can only hide a finding, never invent one: an `as_dict` method
 on `Constants` that nothing calls would pass the caller check, because
 `as_dict` also names the methods of `PatternProfile` and `SimonovitsVerdict`
-that the CLI calls."""
+that the CLI calls.  An import that its module never reads, in the package,
+its tests or its benchmark, is a dependency that nothing needs."""
 
 import ast
 import pathlib
@@ -248,3 +250,39 @@ def test_caller_check_follows_dead_code_and_skips_dunders():
     src = [("f", "f", source)]
     assert _uncalled(src, src) == {"f.dead", "f.only_dead", "f.A.m"}
     assert _uncalled(src, src, kept={"f.dead"}) == {"f.A.m"}
+
+
+def _unused_imports(source):
+    """Names a module imports and never reads: an import binds its alias,
+    or the first part of a dotted module name, and a read is any
+    identifier or, for a re-export, a string in ``__all__``."""
+    tree = ast.parse(source)
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in node.names if a.name != "*")
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant))
+    return sorted(imported - used)
+
+
+def test_every_import_is_used():
+    unused = {str(p.relative_to(ROOT)): _unused_imports(p.read_text())
+              for d in CALLERS for p in sorted(d.rglob("*.py"))}
+    assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_import_check_sees_aliases_dotted_names_and_reexports():
+    source = ("import os\nimport os.path\nimport numpy as np\n"
+              "import json as js\nfrom math import pi, tau as t\n"
+              "from x import *\n"
+              "__all__ = ['pi']\n"
+              "def f():\n    import sys\n    return np.e + t\n")
+    assert _unused_imports(source) == ["js", "os", "sys"]

@@ -5,8 +5,8 @@ import pytest
 
 from simonovits.copies import count_copies
 from simonovits.graph import (Graph, complete_graph, cycle_graph,
-                              named_graph, petersen_graph, disjoint_union,
-                              blowup_plus, graph_from_spec)
+                              named_graph, petersen_graph, blowup_plus,
+                              graph_from_spec)
 from simonovits.patterns import (two_density, is_edge_critical,
                                  pi_coefficient, theta_coefficient,
                                  p_threshold, dense_min_degree_bound,

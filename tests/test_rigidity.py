@@ -4,8 +4,8 @@ import random
 import pytest
 
 from simonovits.graph import (Graph, ColoredGraph, PartTuple,
-                              TooLargeError, complete_graph, cycle_graph,
-                              named_graph, all_pairs, edge_index)
+                              TooLargeError, complete_graph, named_graph,
+                              all_pairs, edge_index)
 from simonovits.randgraphs import RngStream, sample_gnp
 from simonovits.copies import residual_family
 from simonovits import rigidity
@@ -48,7 +48,7 @@ def test_cut_family_guard_refuses_by_bytes_before_enumerating(monkeypatch):
     def enumerate_nothing(*args):
         raise AssertionError("enumerated a refused family")
 
-    monkeypatch.setattr(rigidity, "assignment_chunks", enumerate_nothing)
+    monkeypatch.setattr(rigidity, "_half_table", enumerate_nothing)
     assert 2 ** 26 <= rigidity.FAMILY_GUARD
     with pytest.raises(TooLargeError, match="bytes"):
         CutFamily(26, 2, 0.4)
@@ -151,6 +151,54 @@ def test_cut_family_matches_product_loop(n, r, delta, coloured):
         for i in got_ids:
             common &= ref_ext[i]
         assert gm & fam.crossed_by_all(got_ids) == common
+
+
+def _digit_family(n, r, delta, forced):
+    """The build CutFamily used before its half-tables: every assignment's
+    digits by integer division, 4096 at a time, the balanced rows kept,
+    and each pair's crossing bit from comparing its two digits, packed
+    little-endian: (assignments, words, planes)."""
+    import numpy as np
+    lo = (1 - delta) * n / r
+    hi = (1 + delta) * n / r
+    free = [v for v in range(n) if v not in forced]
+    place = r ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
+    digit = np.min_scalar_type(r - 1)
+    row = np.array([forced.get(v, 0) for v in range(n)], digit)
+    n_words = max(1, -(-(n * (n - 1) // 2) // 64))
+    us, vs = np.triu_indices(n, 1)
+    assignments, packed = [], []
+    for start in range(0, r ** len(free), 4096):
+        idx = np.arange(start, min(start + 4096, r ** len(free)))
+        digits = np.tile(row, (len(idx), 1))
+        digits[:, free] = idx[:, None] // place % r
+        keep = np.ones(len(digits), dtype=bool)
+        for k in range(r):
+            size = np.count_nonzero(digits == k, axis=1)
+            keep &= (lo <= size) & (size <= hi)
+        digits = digits[keep]
+        cross = np.zeros((len(digits), n_words * 64), dtype=bool)
+        np.not_equal(digits[:, us], digits[:, vs], out=cross[:, :len(us)])
+        assignments.append(digits)
+        packed.append(np.packbits(cross, axis=1, bitorder="little"))
+    packed = np.concatenate(packed)
+    return (np.concatenate(assignments),
+            packed.view("<u8").T.astype(np.uint64), packed.T)
+
+
+@pytest.mark.parametrize("n,r,coloured", [
+    (16, 2, True), (12, 3, True), (20, 2, True), (10, 4, "1:1,4:2,6:4")])
+def test_cut_family_matches_digit_comparison(n, r, coloured):
+    # the two switching families, a larger one, and an r = 4 family with
+    # three coloured vertices, each spread over several chunks
+    q, forced = _coloured(n, coloured)
+    fam = CutFamily(n, r, 0.4, q=q)
+    assignments, words, planes = _digit_family(n, r, 0.4, forced)
+    for got, want in ((fam.assignments, assignments), (fam._words, words),
+                      (fam._planes, planes)):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert (got == want).all()
 
 
 def test_cut_family_digits_wider_than_a_byte():
@@ -307,8 +355,8 @@ def test_switching_runs_and_validates():
         vals = fam.values(g.edge_mask()).tolist()
         order = sorted(range(len(fam)), key=lambda i: vals[i])
         cut = fam.cut(order[len(order) // 4])
-        tr = run_switching(g, q, cut, fam_resid, fam, m=2, L=200, seed=t,
-                           p=p)
+        tr = run_switching(g, q, cut, fam_resid, fam,
+                           fam.values(g.edge_mask()), m=2, L=200, seed=t, p=p)
         res = validate_trace(tr, q, cut, d=60, fam=fam,
                              fam_resid=fam_resid, m=2, p=p)
         assert res["ok"], res["violations"]
@@ -326,7 +374,8 @@ def test_switching_requires_structure_inside():
     fam_resid, _ = residual_family(K3, q, n, "low")
     g = Graph(n, [(2, 3)])
     with pytest.raises(ValueError):
-        run_switching(g, q, fam.cut(0), fam_resid, fam, m=2, L=10)
+        run_switching(g, q, fam.cut(0), fam_resid, fam,
+                      fam.values(g.edge_mask()), m=2, L=10)
 
 
 def _one_trace(seed=4, p=0.5, n=12):
@@ -337,7 +386,8 @@ def _one_trace(seed=4, p=0.5, n=12):
     vals = fam.values(g.edge_mask()).tolist()
     order = sorted(range(len(fam)), key=lambda i: vals[i])
     cut = fam.cut(order[len(order) // 4])
-    tr = run_switching(g, q, cut, fam_resid, fam, m=2, L=200, seed=seed, p=p)
+    tr = run_switching(g, q, cut, fam_resid, fam, fam.values(g.edge_mask()),
+                       m=2, L=200, seed=seed, p=p)
     return tr, q, cut, fam, fam_resid, p
 
 
@@ -392,7 +442,8 @@ def test_validator_catches_a_trace_run_from_another_graph():
     vals = fam.values(g.edge_mask()).tolist()
     order = sorted(range(len(fam)), key=lambda i: vals[i])
     cut = fam.cut(order[len(order) // 4])
-    tr = run_switching(g, q, cut, fam_resid, fam, m=2, L=200, seed=20, p=p)
+    tr = run_switching(g, q, cut, fam_resid, fam, fam.values(g.edge_mask()),
+                       m=2, L=200, seed=20, p=p)
     assert len(tr.steps) == 14
     ok = validate_trace(tr, q, cut, d=60, fam=fam, fam_resid=fam_resid,
                         m=2, p=p)
@@ -448,16 +499,16 @@ def _assert_fresh(fam, values, seen):
 
 def test_switch_branch_scores_each_state_once(monkeypatch):
     # _switch_branch receives each state's scores: the family is scored in
-    # full once per run and once per validation, and every later state's
-    # scores are carried by the pairs that changed, equal to a fresh
-    # scoring of that state's union
+    # full once per run (by its caller) and once per validation, and every
+    # later state's scores are carried by the pairs that changed, equal to
+    # a fresh scoring of that state's union
     tr, q, cut, fam, fam_resid, p = _find_stepped_trace()
     seed = tr.params["seed"]
     g = sample_gnp(tr.n, p, RngStream(88, seed)).with_edge(0, 1)
     unions = [gm | fm for gm, fm in zip(tr.g_masks, tr.f_masks)]
     values, full, seen = _spy_scores(monkeypatch)
-    again = run_switching(g, q, cut, fam_resid, fam, m=2, L=200, seed=seed,
-                          p=p)
+    again = run_switching(g, q, cut, fam_resid, fam, fam.values(g.edge_mask()),
+                          m=2, L=200, seed=seed, p=p)
     assert again.g_masks == tr.g_masks and again.f_masks == tr.f_masks
     assert full == [tr.g0_mask]
     # the run branches at every state, the last one included unless it
@@ -498,8 +549,8 @@ def test_carried_scores_match_fresh_scoring(monkeypatch, h, n, r, p):
         cut = fam.cut(order[t * len(order) // 4])
         full.clear()
         seen.clear()
-        tr = run_switching(g, q, cut, fam_resid, fam, m=3, L=200, seed=t,
-                           p=p)
+        tr = run_switching(g, q, cut, fam_resid, fam,
+                           fam.values(g.edge_mask()), m=3, L=200, seed=t, p=p)
         res = validate_trace(tr, q, cut, d=n * n, fam=fam,
                              fam_resid=fam_resid, m=3, p=p)
         assert res["ok"], res["violations"]

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -7,7 +6,6 @@ from simonovits.graph import (Graph, ColoredGraph, PartTuple,
                               complete_graph, named_graph)
 from simonovits.randgraphs import RngStream, sample_gnp
 from simonovits.solvers import local_max_cut
-from simonovits.copies import copies_as_hypergraph
 from simonovits import structure
 from simonovits.structure import (vizing_color, check_edge_colouring,
                                   bounded_degree_subgraph,
