@@ -190,6 +190,13 @@ def simulate_switching(pattern="triangle", n=12, p=0.5, runs=10, rounds=200,
     Start cuts are drawn from the compatible balanced family with a bias
     towards positive deficit so the removal branches are exercised.
     """
+    if runs < 1:
+        raise ConfigError("runs must be at least 1")
+    if rounds < 0:
+        raise ConfigError("rounds must be at least 0")
+    if n < 2:
+        raise ConfigError("n must be at least 2: the structure is the "
+                          "edge (0, 1)")
     h = graph_from_spec(pattern)
     r = h.chromatic_number() - 1
     q_graph = Graph(n, [(0, 1)])

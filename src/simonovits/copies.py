@@ -260,12 +260,30 @@ def critical_edge_and_anchor(h):
     return (u, v), min((h.degree(u), u), (h.degree(v), v))[1]
 
 
+@functools.lru_cache(maxsize=16)
+def _edge_orbit_leaders(h):
+    """One oriented edge (x, y) of h per orbit of Aut(h) on oriented edges,
+    once per pattern.  Every copy of h through a pair {a, b} has an
+    embedding sending x to a and y to b for some leader (x, y): whichever
+    oriented edge an embedding sends onto (a, b), composing it with an
+    automorphism moves that edge to its orbit's leader.  (x', y') is in the
+    orbit of (x, y) when an h -> h embedding sends x to x' and y to y'."""
+    leaders = []
+    for (u, v) in h.edges():
+        for (x, y) in ((u, v), (v, u)):
+            if all(next(embeddings(h, h, {a: (x,), b: (y,)}), None) is None
+                   for (a, b) in leaders):
+                leaders.append((x, y))
+    return tuple(leaders)
+
+
 def residual_family(h, q, n, variant="low"):
     """Residuals A - E(Q) of copies A of h in K_n meeting the structure q.
 
-    Variants "all" and "low" list only the copies through q: each pattern
-    edge is anchored, in both orientations, on each q-edge, and the copies
-    found more than once are kept once.
+    Variants "all" and "low" list only the copies through q: one oriented
+    pattern edge per Aut(h) orbit (_edge_orbit_leaders) is anchored on each
+    q-edge, so each copy through a q-edge is met once per automorphism
+    fixing that oriented edge, and kept once.
 
     variant "all":  copies sharing at least one edge with q.
     variant "low":  copies sharing exactly one edge with q whose vertex set
@@ -300,11 +318,10 @@ def residual_family(h, q, n, variant="low"):
     if variant in ("all", "low"):
         found = {}              # copy -> bitmask of its vertices
         for (a, b) in q_edges:
-            for (x, y) in h_edges:
-                for fixed in ({x: [a], y: [b]}, {x: [b], y: [a]}):
-                    for img in embeddings(h, host, fixed):
-                        found[copy_of(img)] = sum(
-                            1 << img[u] for u in range(h.n) if h.adj[u])
+            for (x, y) in _edge_orbit_leaders(h):
+                for img in embeddings(h, host, {x: [a], y: [b]}):
+                    found[copy_of(img)] = sum(
+                        1 << img[u] for u in range(h.n) if h.adj[u])
         for copy in sorted(found, key=bitset_members):
             shared = (copy & q_mask).bit_count()
             if variant == "all":

@@ -84,8 +84,14 @@ class Graph:
         return sum(a.bit_count() for a in self.adj) // 2
 
     def edge_mask(self):
-        """All edges as a bitmask under the K_n edge indexing."""
-        return pair_mask(self.n, self.edges())
+        """All edges as a bitmask under the K_n edge indexing: the pairs
+        (u, v > u) are bits offset(u) + v-u-1, so each row's bits above u
+        shift into place as one block."""
+        n = self.n
+        m = 0
+        for u, row in enumerate(self.adj):
+            m |= row >> (u + 1) << (u * n - u * (u + 1) // 2)
+        return m
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj

@@ -7,7 +7,8 @@ coloured vertices hold their pinned parts, and a packed matrix of their
 crossing masks (64-bit words) so that one numpy popcount scores every cut;
 rigidity depends on the full argmax set, so enumeration is exact with a
 hard guard and never sampled.  A switching run scores its family once and
-then moves the scores by the pairs each step changes.
+then moves the scores by the pairs each step changes; what depends only on
+a state's set of maximum cuts is computed once per set and family.
 """
 
 import bisect
@@ -42,7 +43,12 @@ class CutFamily:
     plane e >> 3), so that ``update`` reads a pair's crossing column from
     contiguous bytes.  All are allocated once, at the size the balance
     window allows, after two guards: at most ``FAMILY_GUARD``
-    assignments enumerated and at most ``FAMILY_BYTES`` kept.
+    assignments enumerated and at most ``FAMILY_BYTES`` kept.  Scores
+    take the smallest unsigned dtype that holds C(n, 2), and ``update``
+    shifts each pair's column into one preallocated byte row.
+    ``_argmax`` keeps, per alpha, what the switching branch logic derives
+    from an argmax set alone (``_switch_branch``), so the runs and
+    validations on one family compute it once per set.
 
     The rows are built from two half-tables (``_half_table``): the
     uncoloured vertices split into a high prefix, whose table starts from
@@ -86,6 +92,9 @@ class CutFamily:
         self.assignments = np.empty((total, n), digit)
         self._words = np.empty((n_words, total), np.uint64)
         self._planes = np.empty((8 * n_words, total), np.uint8)
+        self._score = np.min_scalar_type(n * (n - 1) // 2)
+        self._column = np.empty(total, np.uint8)
+        self._argmax = {}
         stars = np.frombuffer(b"".join(
             m.to_bytes(8 * n_words, "little") for m in _vertex_pairs(n)),
             "<u8").reshape(n, n_words)
@@ -143,9 +152,10 @@ class CutFamily:
                                          self.r)
 
     def values(self, g_mask):
-        """Crossing count of g_mask for every cut, as an int32 array."""
+        """Crossing count of g_mask for every cut, as an array of the
+        smallest unsigned dtype that holds C(n, 2) (uint8 up to n = 23)."""
         import numpy as np
-        vals = np.zeros(len(self), dtype=np.int32)
+        vals = np.zeros(len(self), self._score)
         for w, col in enumerate(self._words):
             word = np.uint64((g_mask >> (64 * w)) & _WORD)
             vals += np.bitwise_count(col & word)
@@ -154,12 +164,18 @@ class CutFamily:
     def update(self, vals, old_mask, new_mask):
         """Turn vals, the scores of old_mask, into the scores of new_mask in
         place: a pair that left takes its crossing column off and a pair
-        that entered adds it.  Exact for any two masks; the column of pair
-        e is ``(_words[e >> 6] >> (e & 63)) & 1``, read from its plane."""
+        that entered adds it.  Exact for any two masks, and never below 0
+        since the pairs that left go first; the column of pair e is
+        ``(_words[e >> 6] >> (e & 63)) & 1``, shifted out of its plane
+        into one preallocated row."""
+        import numpy as np
+        col = self._column
         for e in bitset_members(old_mask & ~new_mask):
-            vals -= (self._planes[e >> 3] >> (e & 7)) & 1
+            np.right_shift(self._planes[e >> 3], e & 7, out=col)
+            np.subtract(vals, np.bitwise_and(col, 1, out=col), out=vals)
         for e in bitset_members(new_mask & ~old_mask):
-            vals += (self._planes[e >> 3] >> (e & 7)) & 1
+            np.right_shift(self._planes[e >> 3], e & 7, out=col)
+            np.add(vals, np.bitwise_and(col, 1, out=col), out=vals)
 
     def maxcut_ids(self, g_mask):
         vals = self.values(g_mask)
@@ -319,14 +335,15 @@ def _q_in_core(colours, core):
 
 _SwitchRun = collections.namedtuple("_SwitchRun", (
     "fam", "q_mask", "ext_cut", "int_mask", "resid_masks", "colours",
-    "vertex_pairs", "m", "gamma_n2p", "alpha"))
+    "vertex_pairs", "m", "gamma_n2p", "alpha", "argmax"))
 
 
 def _switch_inputs(q, cut, fam, fam_resid, m, gamma_n2p, alpha):
     """The constants of the branch logic for runs from a cut of the family:
     q's edge mask, the cut's crossing and internal pairs, the residual
-    family as masks, the nonempty colour classes of q, and the pairs that
-    touch each vertex."""
+    family as masks, the nonempty colour classes of q, the pairs that
+    touch each vertex, and the family's per-argmax-set results under
+    alpha (``_switch_branch``), shared by every run and validation on it."""
     # index_of refuses a cut outside the family
     ext_cut = fam.crossed_by_all([fam.index_of(cut)])
     n = fam.n
@@ -337,7 +354,7 @@ def _switch_inputs(q, cut, fam, fam_resid, m, gamma_n2p, alpha):
     int_mask = ((1 << (n * (n - 1) // 2)) - 1) & ~ext_cut
     return _SwitchRun(fam, q.graph.edge_mask(), ext_cut, int_mask,
                       fam_resid, colours, _vertex_pairs(n), m,
-                      gamma_n2p, alpha)
+                      gamma_n2p, alpha, fam._argmax.setdefault(alpha, {}))
 
 
 @functools.lru_cache(maxsize=None)
@@ -351,14 +368,22 @@ def _switch_branch(run, g_mask, f_mask, vals):
     """Evaluate the branch conditions at one state from vals, the scores
     of its union g_mask | f_mask over the family; callers score the first
     state of a trace and carry the scores to each next one by the pairs
-    that changed (``CutFamily.update``).  Returns (type, sorted choice list
-    of edge indices or None, maximum cut value of the union)."""
+    that changed (``CutFamily.update``).  What depends on the argmax set
+    alone, [the pairs crossing every cut in it, (rigid, core) once the
+    rigidity step needs it], is kept on the family (``run.argmax``, keyed
+    by the bytes of the cut ids), so a validation meets its run's sets
+    again.  Returns (type, sorted choice list of edge indices or None,
+    maximum cut value of the union)."""
     import numpy as np
     fam = run.fam
     union = g_mask | f_mask
     b = int(vals.max())
     ids = np.flatnonzero(vals == b)
-    crit = union & fam.crossed_by_all(ids)
+    key = ids.tobytes()
+    facts = run.argmax.get(key)
+    if facts is None:
+        facts = run.argmax[key] = [fam.crossed_by_all(ids), None]
+    crit = union & facts[0]
     int_mask = run.int_mask
     x_union = 0
     inside = g_mask & crit
@@ -370,11 +395,13 @@ def _switch_branch(run, g_mask, f_mask, vals):
     if (crit & int_mask).bit_count() >= run.gamma_n2p:
         choice = (g_mask & crit & int_mask) & ~run.q_mask
         return "b", bitset_members(choice), b
-    rep = _rigidity(fam, b, ids, run.alpha)
-    if not rep["rigid"]:
+    if facts[1] is None:
+        rep = _rigidity(fam, b, ids, run.alpha)
+        facts[1] = rep["rigid"], rep["core"]
+    rigid, core = facts[1]
+    if not rigid:
         choice = (g_mask & int_mask) & ~(crit | run.q_mask)
         return "c", bitset_members(choice), b
-    core = rep["core"]
     if _q_in_core(run.colours, core):
         return "e", None, b
     if core is None:

@@ -95,6 +95,28 @@ def test_simulate_switching_colour_above_r_exits_2(capsys):
     assert "empty cut family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--runs", "-1"], "runs must be at least 1"),
+    (["--runs", "0"], "runs must be at least 1"),
+    (["--rounds", "-5", "--runs", "1"], "rounds must be at least 0"),
+    (["--n", "1"], "n must be at least 2"),
+], ids=["runs-negative", "runs-zero", "rounds", "n"])
+def test_simulate_switching_refuses_meaningless_arguments(capsys, argv,
+                                                          message):
+    assert run(["simulate-switching", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: %s" % message)
+
+
+def test_simulate_switching_accepts_the_smallest_arguments(capsys):
+    assert run(["simulate-switching", "--n", "2", "--runs", "1",
+                "--rounds", "0"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["all_valid"] is True
+    assert d["results"][0]["terminal"] == {"reason": "L", "steps": 0}
+
+
 def test_verify_lemma_dispatch(tmp_path):
     for lemma in ("poisson", "janson", "corollaries", "uppertail",
                   "balanced", "sum"):

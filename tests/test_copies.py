@@ -326,6 +326,32 @@ def test_residual_family_matches_whole_kn_filter(pattern, structure, n):
         assert {r: set(c) for r, c in comps.items()} == ref_comps
 
 
+@pytest.mark.parametrize("pattern, per_copy", [("triangle", 1), ("k4", 2)])
+def test_residual_family_meets_each_copy_once_per_edge_stabiliser(
+        monkeypatch, pattern, per_copy):
+    # one oriented edge per Aut(h) orbit is anchored on the q-edge, so a
+    # copy through it is met once per automorphism fixing that oriented
+    # edge: 6 / 6 for the triangle and 24 / 12 for K4, not |Aut(h)| times
+    h, n = named_graph(pattern), 12
+    visited = Counter()
+    walk = copies.embeddings
+
+    def counted(pat, host, fixed=None):
+        for img in walk(pat, host, fixed):
+            if host.n == n:
+                visited[pair_mask(n, ((img[u], img[v])
+                                      for (u, v) in pat.edges()))] += 1
+            yield img
+
+    monkeypatch.setattr(copies, "embeddings", counted)
+    for variant in ("all", "low"):
+        visited.clear()
+        fam, comps = residual_family(h, Graph(n, [(0, 1)]), n, variant)
+        assert len(fam) == math.comb(n - 2, h.n - 2)
+        assert set(visited) == {c for cs in comps.values() for c in cs}
+        assert set(visited.values()) == {per_copy}
+
+
 def test_residual_family_high_places_anchor_on_centres():
     n = 8
     q = Graph(n, [(0, 2), (0, 3), (1, 4), (1, 5)])

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from simonovits.graph import (Graph, PartTuple, ColoredGraph, edge_index,
-                              all_pairs, parse_graph, complete_graph,
-                              cycle_graph,
+                              all_pairs, pair_mask, parse_graph,
+                              complete_graph, cycle_graph,
                               complete_multipartite, blowup_plus,
                               disjoint_union, petersen_graph, named_graph,
                               is_delta_balanced)
@@ -33,6 +33,20 @@ def test_edge_index_is_a_bijection():
     n = 9
     idxs = [edge_index(n, u, v) for (u, v) in all_pairs(n)]
     assert sorted(idxs) == list(range(n * (n - 1) // 2))
+
+
+@given(st.integers(0, 17), st.randoms(use_true_random=False))
+def test_edge_mask_matches_pair_mask(n, rnd):
+    # differential: the row-shift mask against the pair-by-pair one
+    g = Graph(n, [e for e in all_pairs(n) if rnd.random() < 0.5])
+    assert g.edge_mask() == pair_mask(n, g.edges())
+
+
+@pytest.mark.parametrize("n", range(0, 18))
+def test_edge_mask_of_complete_graph(n):
+    kn = complete_graph(n).edge_mask()
+    assert kn == pair_mask(n, all_pairs(n)) == (1 << n * (n - 1) // 2) - 1
+    assert Graph(n).edge_mask() == 0
 
 
 def test_parse_rejects_duplicate_edges():

@@ -211,6 +211,25 @@ def test_cut_family_digits_wider_than_a_byte():
         [int(a != b) for a, b in ref]
 
 
+@pytest.mark.parametrize("n, dtype", [(12, "uint8"), (23, "uint8"),
+                                      (24, "uint16")])
+def test_scores_take_the_smallest_dtype_that_holds_every_pair(n, dtype):
+    # r = n parts with all but two vertices pinned apart, so some cut
+    # crosses all C(n, 2) pairs: 253 fits a byte at n = 23, 276 does not
+    q, _ = _coloured(n, ",".join("%d:%d" % (v, v + 1) for v in range(n - 2)))
+    fam = CutFamily(n, n, 1, q=q)
+    full = (1 << n * (n - 1) // 2) - 1
+    vals = fam.values(full)
+    assert vals.dtype == dtype and int(vals.max()) == n * (n - 1) // 2
+    assert vals.tolist() == [fam.crossed_by_all([i]).bit_count()
+                             for i in range(len(fam))]
+    carried = fam.values(0)
+    fam.update(carried, 0, full)
+    assert carried.tolist() == vals.tolist()
+    fam.update(carried, full, 0)
+    assert not carried.any()
+
+
 def test_cut_roundtrip_and_b_value():
     fam = CutFamily(5, 2, 0.4)
     g = complete_graph(5)
@@ -558,6 +577,64 @@ def test_carried_scores_match_fresh_scoring(monkeypatch, h, n, r, p):
         _assert_fresh(fam, values, seen)
         steps += len(tr.steps)
     assert steps >= 8
+
+
+@pytest.mark.parametrize("h,n,r,p", SWITCH_CASES)
+def test_argmax_set_work_is_done_once_per_family(monkeypatch, h, n, r, p):
+    # along seeded runs and their validations on one family, the pairs
+    # crossing every maximum cut and the equivalence classes are computed
+    # once per distinct argmax set (and the start cut's crossing pairs
+    # once per run and per validation); every branch outcome equals the
+    # one a fresh family, with nothing kept, gives at the same state
+    import numpy as np
+    q = _q_pair(n)
+    fam = CutFamily(n, r, 0.4, q=q)
+    fresh = CutFamily(n, r, 0.4, q=q)
+    fam_resid, _ = residual_family(h, q, n, "low")
+    crossed_by_all = CutFamily.crossed_by_all
+    classes_of = rigidity._equivalence_classes
+    branch = rigidity._switch_branch
+    crossed, classes, seen = [], [], []
+
+    def spied_crossed(self, ids):
+        if self is fam:
+            crossed.append(np.asarray(ids).tobytes())
+        return crossed_by_all(self, ids)
+
+    def spied_classes(family, ids):
+        if family is fam:
+            classes.append(ids.tobytes())
+        return classes_of(family, ids)
+
+    def spied_branch(run, g_mask, f_mask, vals):
+        got = vals.copy()
+        out = branch(run, g_mask, f_mask, vals)
+        seen.append((run, g_mask, f_mask, got, out))
+        return out
+
+    monkeypatch.setattr(CutFamily, "crossed_by_all", spied_crossed)
+    monkeypatch.setattr(rigidity, "_equivalence_classes", spied_classes)
+    monkeypatch.setattr(rigidity, "_switch_branch", spied_branch)
+    starts = []
+    for t in range(4):
+        g = sample_gnp(n, p, RngStream(93, t)).with_edge(0, 1)
+        vals = fam.values(g.edge_mask())
+        order = sorted(range(len(fam)), key=lambda i: vals[i])
+        cut = fam.cut(order[t * len(order) // 4])
+        starts += 2 * [np.asarray([order[t * len(order) // 4]]).tobytes()]
+        tr = run_switching(g, q, cut, fam_resid, fam, vals, m=3, L=200,
+                           seed=t, p=p)
+        res = validate_trace(tr, q, cut, d=n * n, fam=fam,
+                             fam_resid=fam_resid, m=3, p=p)
+        assert res["ok"], res["violations"]
+    sets = {np.flatnonzero(v == v.max()).tobytes() for *_, v, _ in seen}
+    assert len(seen) > len(sets)
+    assert sorted(crossed) == sorted([*sets, *starts])
+    assert classes and len(set(classes)) == len(classes)
+    assert set(classes) <= sets
+    for run, g_mask, f_mask, vals, out in seen:
+        alone = run._replace(fam=fresh, argmax={})
+        assert branch(alone, g_mask, f_mask, vals.copy()) == out
 
 
 def test_validator_scores_a_jump_of_several_pairs_exactly(monkeypatch):
