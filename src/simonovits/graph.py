@@ -144,30 +144,44 @@ class Graph:
     def proper_colouring(self, k):
         """Some proper colouring with colours 0..k-1, or None.
 
-        Vertices are coloured in degree order, each trying colours only up
-        to one above the highest used so far: unused colours are
-        interchangeable, so this prunes symmetric branches without changing
-        the first colouring found.
+        Vertices are coloured in degree order, ties by label, each taking
+        the lowest colour whose class holds none of its neighbours and
+        trying colours only up to one above the highest used so far: unused
+        colours are interchangeable, so this prunes symmetric branches
+        without changing the first colouring found.  Each colour class is
+        kept as a vertex bitmask, and the search backtracks with an explicit
+        depth, so a host of any size needs no recursion.
         """
-        colour = [-1] * self.n
-        order = sorted(range(self.n), key=lambda v: -self.degree(v))
-
-        def rec(i, top):
-            if i == len(order):
-                return True
+        n = self.n
+        adj = self.adj
+        order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+        colour = [-1] * n
+        part = [0] * k
+        # top[i]: the highest colour used by order[:i]
+        top = [-1] * (n + 1)
+        i = c = 0       # c: the next colour to try at depth i
+        while i < n:
             v = order[i]
-            used = {colour[w] for w in self.neighbours(v) if colour[w] >= 0}
-            for c in range(min(k, top + 2)):
-                if c not in used:
-                    colour[v] = c
-                    if rec(i + 1, max(top, c)):
-                        return True
-                    colour[v] = -1
-            return False
-
-        found = rec(0, -1)
-        rec = None      # the closure refers to itself and self
-        return colour if found else None
+            a = adj[v]
+            stop = min(k, top[i] + 2)
+            while c < stop and a & part[c]:
+                c += 1
+            if c < stop:
+                colour[v] = c
+                part[c] |= 1 << v
+                top[i + 1] = max(top[i], c)
+                i += 1
+                c = 0
+                continue
+            i -= 1
+            if i < 0:
+                return None
+            v = order[i]
+            c = colour[v]
+            part[c] ^= 1 << v
+            colour[v] = -1
+            c += 1
+        return colour
 
 
 def bitset_members(mask):

@@ -372,7 +372,7 @@ def _switch_branch(run, g_mask, f_mask, vals):
     alone, [the pairs crossing every cut in it, (rigid, core) once the
     rigidity step needs it], is kept on the family (``run.argmax``, keyed
     by the bytes of the cut ids), so a validation meets its run's sets
-    again.  Returns (type, sorted choice list of edge indices or None,
+    again.  Returns (type, choice set of edge indices as a bitmask or None,
     maximum cut value of the union)."""
     import numpy as np
     fam = run.fam
@@ -391,17 +391,17 @@ def _switch_branch(run, g_mask, f_mask, vals):
         if not w & ~inside:
             x_union |= w & int_mask
     if x_union.bit_count() >= run.m:
-        return "a", bitset_members(x_union), b
+        return "a", x_union, b
     if (crit & int_mask).bit_count() >= run.gamma_n2p:
         choice = (g_mask & crit & int_mask) & ~run.q_mask
-        return "b", bitset_members(choice), b
+        return "b", choice, b
     if facts[1] is None:
         rep = _rigidity(fam, b, ids, run.alpha)
         facts[1] = rep["rigid"], rep["core"]
     rigid, core = facts[1]
     if not rigid:
         choice = (g_mask & int_mask) & ~(crit | run.q_mask)
-        return "c", bitset_members(choice), b
+        return "c", choice, b
     if _q_in_core(run.colours, core):
         return "e", None, b
     if core is None:
@@ -423,7 +423,7 @@ def _switch_branch(run, g_mask, f_mask, vals):
                     pairs |= rows[u] & rows[w]      # the pair {u, w}
             # crossing pairs of the cut that are in neither G nor F
             addable = run.ext_cut & ~union
-            return "d", bitset_members(pairs & addable), b
+            return "d", pairs & addable, b
     return "stuck", None, b
 
 
@@ -460,8 +460,9 @@ def run_switching(g0, q, cut, fam_resid, fam, vals, m, L, seed=0, p=None):
         if typ == "stuck" or not choice:
             trace.terminal = {"reason": "stuck", "branch": typ, "steps": i}
             break
-        pos = rng.randrange(len(choice))
-        e_idx = choice[pos]
+        size = choice.bit_count()
+        pos = rng.randrange(size)
+        e_idx = bitset_members(choice)[pos]
         union = g_mask | f_mask
         if typ == "d":
             f_mask |= 1 << e_idx
@@ -469,7 +470,7 @@ def run_switching(g0, q, cut, fam_resid, fam, vals, m, L, seed=0, p=None):
             g_mask &= ~(1 << e_idx)
         fam.update(vals, union, g_mask | f_mask)
         trace.steps.append({"i": i, "type": typ, "edge": e_idx,
-                            "choice_size": len(choice), "rng_pos": pos})
+                            "choice_size": size, "rng_pos": pos})
         trace.g_masks.append(g_mask)
         trace.f_masks.append(f_mask)
     else:
@@ -534,11 +535,13 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, p=None):
             violations.append((idx, "branch mismatch: recomputed %s, "
                                "recorded %s" % (typ, step["type"])))
             break
-        if choice is None or step["edge"] not in choice:
+        edge = step["edge"]
+        if (choice is None or not isinstance(edge, int) or edge < 0
+                or not choice >> edge & 1):
             violations.append((idx, "edge not in recomputed choice set"))
             break
         # state transition consistency
-        bit = 1 << step["edge"]
+        bit = 1 << edge
         if typ == "d":
             ok = (trace.g_masks[idx + 1] == g_mask
                   and trace.f_masks[idx + 1] == (f_mask | bit))

@@ -29,7 +29,7 @@ search past its node cap, leaves the host to the listing.
 import functools
 import random
 
-from .graph import Graph, PartTuple, TooLargeError
+from .graph import Graph, PartTuple, TooLargeError, bitset_members
 from .copies import enumerate_copies
 from .patterns import is_edge_critical, dense_min_degree_bound
 
@@ -39,7 +39,11 @@ NODE_CAP = 50_000_000    # search nodes visited before giving up
 
 # -- maximum r-cuts ------------------------------------------------------
 
-def _max_cut_search(g, r, leaf=None):
+class _CeilingMet(Exception):
+    """Raised by _max_cut_search's recursion at a leaf on its ceiling."""
+
+
+def _max_cut_search(g, r, leaf=None, ceiling=None):
     """Branch and bound for the most crossing edges over assignments of
     g's vertices to parts 0..r-1; returns (best assignment, value), the
     first best one when no leaf is given.
@@ -55,11 +59,18 @@ def _max_cut_search(g, r, leaf=None):
     and leaf(value, assign) is called at every leaf at least as good as
     the floor and the best so far, so every maximum cut relabels some
     reported leaf.  A node is one call of the recursion: a child rejected
-    at its parent is not one.  Raises TooLargeError past NODE_CAP nodes.
+    at its parent is not one.  Raises TooLargeError past NODE_CAP nodes,
+    or where the recursion, one level per non-isolated vertex, would pass
+    the interpreter's limit.
+
+    Without leaf, a ceiling known to bound the maximum from above ends the
+    search early: the walk stops at the first leaf that reaches it, which
+    is the first best leaf, and is skipped when the floor reaches it; the
+    floor's own cut is then returned.
     """
     adj = g.adj
     order = sorted((v for v in range(g.n) if adj[v]),
-                   key=lambda v: -g.degree(v))
+                   key=lambda v: -adj[v].bit_count())
     m = len(order)
     total = g.edge_count()
     # placed[i]: the vertices order[:i]; future[i]: the edges with at least
@@ -81,6 +92,14 @@ def _max_cut_search(g, r, leaf=None):
         inside += nback
         floor += nback - inner[c]
         placed[i + 1] = placed[i] | 1 << v
+    if leaf or ceiling is None:
+        ceiling = total + 1     # above every cut
+    elif floor >= ceiling:
+        assign = [0] * g.n
+        for c, p in enumerate(greedy):
+            for v in bitset_members(p):
+                assign[v] = c
+        return assign, floor
     tie = 0 if leaf else 1
     best_val, best_assign = floor - tie, None
     assign = [0] * g.n
@@ -98,6 +117,8 @@ def _max_cut_search(g, r, leaf=None):
             best_val, best_assign = cur, list(assign)
             if leaf:
                 leaf(cur, best_assign)
+            elif cur >= ceiling:
+                raise _CeilingMet
             return
         v = order[i]
         back = adj[v] & placed[i]
@@ -113,18 +134,25 @@ def _max_cut_search(g, r, leaf=None):
 
     try:
         rec(0, 0, 0)
+    except _CeilingMet:
+        pass
+    except RecursionError:
+        raise TooLargeError("max-cut search passed the recursion limit "
+                            "(n=%d, r=%d)" % (g.n, r)) from None
     finally:
         rec = None      # the closure refers to itself; free it with the call
     return best_assign, best_val
 
 
-def max_r_cut(g, r):
+def max_r_cut(g, r, ceiling=None):
     """Largest number of crossing edges over complete r-part partitions:
-    (PartTuple, value) of the branch and bound's first best assignment.
-    Raises TooLargeError past NODE_CAP search nodes."""
+    (PartTuple, value) of the branch and bound's first best assignment,
+    or, given a ceiling on the value that the greedy floor already
+    reaches, of the floor's assignment.  Raises TooLargeError past
+    NODE_CAP search nodes."""
     if r < 2:
         raise ValueError("need r >= 2")
-    assign, val = _max_cut_search(g, r)
+    assign, val = _max_cut_search(g, r, ceiling=ceiling)
     return PartTuple.from_assignment(assign, r), val
 
 
@@ -218,10 +246,24 @@ def _copy_masks(g, h):
     its edges.
     """
     edges = tuple(g.edges())
-    pos = {e: i for i, e in enumerate(edges)}
-    masks = tuple(sum(1 << pos[e] for e in copy)
-                  for copy in enumerate_copies(h, g))
+    bit = {e: 1 << i for i, e in enumerate(edges)}.__getitem__
+    masks = tuple(sum(map(bit, copy)) for copy in enumerate_copies(h, g))
     return edges, masks
+
+
+def _without(g, edges, dele):
+    """g less the edges whose bits are set in dele, a bitmask over edges
+    (g's edge list): g's adjacency rows, copied, with those bits cleared."""
+    adj = list(g.adj)
+    while dele:
+        b = dele & -dele
+        dele ^= b
+        u, v = edges[b.bit_length() - 1]
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    f = Graph(g.n)
+    f.adj = adj
+    return f
 
 
 def _transversal_search(masks, tau, twins=None):
@@ -396,6 +438,9 @@ def _transversal_search(masks, tau, twins=None):
 
     try:
         rec(cls, 0, 0, 0)
+    except RecursionError:
+        raise TooLargeError("transversal search passed the recursion "
+                            "limit") from None
     finally:
         rec = None      # the closure refers to itself; free it with the call
     return sols
@@ -490,8 +535,7 @@ def max_H_free(g, h):
     if not masks:
         return g.edge_count(), g
     dele = _min_transversal_milp(masks, len(edges))
-    witness = Graph(g.n, [e for i, e in enumerate(edges)
-                          if not dele >> i & 1])
+    witness = _without(g, edges, dele)
     # every copy of h in the witness is a copy in g: each must lose an edge
     if not all(m & dele for m in masks):
         raise AssertionError("witness is not h-free")
@@ -507,7 +551,7 @@ def enumerate_optimal_H_free(g, h, tau):
     edges, masks = _copy_masks(g, h)
     if not masks:
         return [g] if tau >= 0 else []
-    return [Graph(g.n, [e for i, e in enumerate(edges) if not dele >> i & 1])
+    return [_without(g, edges, dele)
             for dele in _transversal_search(masks, tau)]
 
 
@@ -526,8 +570,11 @@ def free_edge_witness(g, h):
     covered = 0
     for m in masks:
         covered |= m
-    w = Graph(g.n, [e for i, e in enumerate(edges) if not covered >> i & 1])
-    if w.proper_colouring(_pattern_facts(h)[0] - 1) is None:
+    r = _pattern_facts(h)[0] - 1
+    if covered.bit_count() == len(edges) and (r > 0 or not g.n):
+        return None     # no free edge: the edgeless graph is r-colourable
+    w = _without(g, edges, covered)
+    if w.proper_colouring(r) is None:
         return w
     return None
 
@@ -560,6 +607,9 @@ def is_simonovits(g, h):
     """Decide whether every largest h-free subgraph of g is r-partite,
     r = chi(h) - 1.  Returns a SimonovitsVerdict with certificate.
 
+    The best r-cut is searched under a ceiling, e(g) less a greedy packing
+    of edge-disjoint copies of h (_cut_ceiling): the search stops at the
+    first cut that reaches it, or does not walk at all when its floor does.
     One transversal search at e(g) - best r-cut lists every optimum when
     ex equals the best cut, and otherwise returns one larger optimum, whose
     size is ex; optima_count is then None.  Only a search stopped by its
@@ -588,13 +638,29 @@ def is_simonovits(g, h):
         return SimonovitsVerdict(
             "no", certificate=w,
             reason="free edges span a non-r-partite subgraph")
-    _, best_rp = max_r_cut(g, r)
+    _, best_rp = max_r_cut(g, r, _cut_ceiling(g, h))
     mates = _twin_mates(g)
     if mates is not None:
         v = _decide_up_to_twins(g, h, r, best_rp, mates)
         if v is not None:
             return v
     return _decide_by_listing(g, h, r, best_rp)
+
+
+def _cut_ceiling(g, h):
+    """e(g) - nu, where nu counts the copies of h that a greedy packing
+    takes, in copy order, while they share no edge.  Every r-partition,
+    r = chi(h) - 1, leaves an edge of each copy inside a part, so no
+    r-cut of g crosses more edges.  The copies all have e(h) edges, so
+    taking them in order packs as a fewest-edges-first greedy would."""
+    _, masks = _copy_masks(g, h)
+    packed = 0
+    nu = 0
+    for m in masks:
+        if not m & packed:
+            packed |= m
+            nu += 1
+    return g.edge_count() - nu
 
 
 def _twin_mates(g):
@@ -641,9 +707,7 @@ def _decide_up_to_twins(g, h, r, best_rp, mates):
     edges, masks = _copy_masks(g, h)
 
     def good(dele):
-        kept = Graph(g.n, [e for i, e in enumerate(edges)
-                           if not dele >> i & 1])
-        return kept.proper_colouring(r) is not None
+        return _without(g, edges, dele).proper_colouring(r) is not None
 
     try:
         _max_cut_search(g, r, leaf)

@@ -476,6 +476,27 @@ def test_refused_max_cut_exits_5(monkeypatch, capsys):
         in capsys.readouterr().err
 
 
+def test_pattern_of_chromatic_number_2_exits_2(capsys):
+    # r = chi(K2) - 1 = 1: max_r_cut's refusal, before any ceiling is used
+    assert run(["check-simonovits", "--graph", "3:0-1",
+                "--pattern", "2:0-1"]) == 2
+    assert "config error: need r >= 2" in capsys.readouterr().err
+
+
+# a path on 1,100 vertices with a triangle (decided: its floor meets the
+# copy-packing ceiling) or a K4 (the max-cut search would recurse once per
+# vertex): no search may end in RecursionError
+@pytest.mark.parametrize("extra", [["0-2"], ["0-2", "0-3", "1-3"]],
+                         ids=["triangle", "k4"])
+def test_long_host_exits_0_or_5(capsys, extra):
+    edges = ["%d-%d" % (v, v + 1) for v in range(1099)] + extra
+    code = run(["check-simonovits", "--graph", "1100:" + ",".join(edges),
+                "--pattern", "triangle"])
+    assert code in (0, 5)
+    if code == 5:
+        assert "recursion limit" in capsys.readouterr().err
+
+
 def test_enumeration_cap_exits_indeterminate(tmp_path, monkeypatch):
     monkeypatch.setattr(solvers, "SOL_CAP", 20)
     k8 = "8:" + ",".join("%d-%d" % e for e in complete_graph(8).edges())

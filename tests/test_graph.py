@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -142,3 +145,50 @@ def test_greedy_colouring_proper(n, bits):
     assert all(col[u] != col[v] for (u, v) in g.edges())
     assert g.proper_colouring(k - 1) is None or k == 1
     assert (g.proper_colouring(2) is not None) == is_bipartite(g)
+
+
+def _reference_proper_colouring(g, k):
+    """The colouring search before the part bitmasks: one recursion level
+    per vertex, each level collecting its neighbours' colours in a set."""
+    colour = [-1] * g.n
+    order = sorted(range(g.n), key=lambda v: -g.degree(v))
+
+    def rec(i, top):
+        if i == len(order):
+            return True
+        v = order[i]
+        used = {colour[w] for w in g.neighbours(v) if colour[w] >= 0}
+        for c in range(min(k, top + 2)):
+            if c not in used:
+                colour[v] = c
+                if rec(i + 1, max(top, c)):
+                    return True
+                colour[v] = -1
+        return False
+
+    return colour if rec(0, -1) else None
+
+
+# differential: the same first colouring, or None, as the set-based search
+def test_proper_colouring_matches_reference():
+    rnd = random.Random(5)
+    hosts = [Graph(n) for n in range(6)]
+    hosts += [complete_graph(n) for n in range(1, 7)]
+    for _ in range(2000):
+        n = rnd.randint(0, 12)
+        p = rnd.random()
+        hosts.append(Graph(n, [e for e in all_pairs(n) if rnd.random() < p]))
+    for g in hosts:
+        for k in range(5):
+            assert g.proper_colouring(k) == _reference_proper_colouring(g, k), \
+                (g.n, g.edges(), k)
+
+
+def test_proper_colouring_of_a_long_path_and_odd_cycle():
+    # one recursion level per vertex would pass the interpreter's limit
+    n = 3 * sys.getrecursionlimit() + 1
+    path = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    col = path.proper_colouring(2)
+    assert col is not None and all(col[u] != col[v] for (u, v) in path.edges())
+    assert cycle_graph(n).proper_colouring(2) is None
+    assert cycle_graph(n).proper_colouring(3) is not None

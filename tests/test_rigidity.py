@@ -440,6 +440,16 @@ def test_validator_catches_foreign_edge():
     assert not bad["ok"]
 
 
+# the choice set is a bitmask: an edge that is no index of it is outside
+@pytest.mark.parametrize("edge", [-1, 10 ** 6, "0", None])
+def test_validator_reports_an_edge_outside_the_choice_set(edge):
+    tr, q, cut, fam, fam_resid, p = _find_stepped_trace()
+    tr.steps[0] = dict(tr.steps[0], edge=edge)
+    bad = validate_trace(tr, q, cut, d=60, fam=fam, fam_resid=fam_resid,
+                         m=2, p=p)
+    assert bad["violations"] == [(0, "edge not in recomputed choice set")]
+
+
 def test_validator_catches_state_tampering():
     tr, q, cut, fam, fam_resid, p = _find_stepped_trace()
     tr.g_masks[1] = tr.g_masks[1] ^ 1

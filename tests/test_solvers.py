@@ -104,22 +104,76 @@ def _max_leaves(search, g, r):
     return top, {a for value, a in leaves if value == top}
 
 
-# the floor and the check at the parent drop only subtrees below the
-# maximum: the first best leaf and every reported maximum leaf stay
-@pytest.mark.parametrize("r", [2, 3, 4])
-def test_max_cut_search_matches_reference(r):
+def _search_hosts(r):
     hosts = [complete_graph(n) for n in range(1, 13)]
     hosts += [Graph(n, []) for n in (0, 1, 5)]
     hosts += [Graph(n, [(0, n - 1)]) for n in (2, 5)]
     for n in range(13):
         hosts += [sample_gnp(n, p, RngStream(40 + r, 10 * n + t))
                   for t, p in enumerate((0.2, 0.5, 0.8))]
-    for g in hosts:
+    return hosts
+
+
+# the floor and the check at the parent drop only subtrees below the
+# maximum: the first best leaf and every reported maximum leaf stay
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_max_cut_search_matches_reference(r):
+    for g in _search_hosts(r):
         ref = _reference_max_cut_search(g, r)
         assert solvers._max_cut_search(g, r) == ref, (g.n, g.edges())
         top, leaves = _max_leaves(_reference_max_cut_search, g, r)
         assert top == ref[1]
         assert _max_leaves(solvers._max_cut_search, g, r) == (top, leaves)
+
+
+def _crossing(g, assign):
+    return sum(assign[u] != assign[v] for (u, v) in g.edges())
+
+
+# a ceiling at or above the maximum leaves the value alone, and the first
+# best cut too unless the floor meets it and the walk is skipped
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_max_cut_ceiling_keeps_the_first_best_cut(monkeypatch, r):
+    hosts = _search_hosts(r) + [cycle_graph(6), petersen_graph()]
+    skipped = 0
+    for g in hosts:
+        first, top = solvers._max_cut_search(g, r)
+        for ceiling in (top, top + 1, g.edge_count() + 1):
+            assign, val = solvers._max_cut_search(g, r, ceiling=ceiling)
+            assert val == _crossing(g, assign) == top, (g.edges(), ceiling)
+            monkeypatch.setattr(solvers, "NODE_CAP", 0)
+            try:
+                solvers._max_cut_search(g, r, ceiling=ceiling)
+            except TooLargeError:
+                assert assign == first, (g.edges(), ceiling)
+            else:
+                skipped += 1
+            monkeypatch.setattr(solvers, "NODE_CAP", NODE_CAP)
+        # a leaf callback sees every maximum cut whatever the ceiling
+        assert (_max_leaves(lambda g, r, leaf: solvers._max_cut_search(
+            g, r, leaf, ceiling=top), g, r)
+            == _max_leaves(solvers._max_cut_search, g, r))
+    assert skipped   # the even cycle's floor is its every edge
+
+
+def test_cut_ceiling_bounds_the_best_cut():
+    for pattern in ("triangle", "c5", "k4"):
+        h = named_graph(pattern)
+        r = h.chromatic_number() - 1
+        for n in range(3, 11):
+            for t, p in enumerate((0.3, 0.6, 0.9)):
+                g = sample_gnp(n, p, RngStream(60 + n, t))
+                ceiling = solvers._cut_ceiling(g, h)
+                top = max_r_cut(g, r)[1]
+                assert top <= ceiling
+                assert max_r_cut(g, r, ceiling)[1] == top
+    # K4 packs one triangle: the ceiling 5 is above the best cut, 4
+    assert solvers._cut_ceiling(K4, K3) == 5
+
+
+def test_is_simonovits_refuses_a_pattern_of_chromatic_number_2():
+    with pytest.raises(ValueError, match=r"need r >= 2"):
+        is_simonovits(K4, complete_graph(2))
 
 
 def test_local_cut_is_unfriendly():
@@ -278,6 +332,38 @@ def test_pattern_free_host_is_returned_whole():
     for tau in (0, 2):
         assert enumerate_optimal_H_free(cycle_graph(5), K3, tau) == [f]
     assert enumerate_optimal_H_free(cycle_graph(5), K3, -1) == []
+
+
+def _kept(g, edges, dele):
+    return Graph(g.n, [e for i, e in enumerate(edges) if not dele >> i & 1])
+
+
+# the graphs built from g's rows with bits cleared equal the ones built
+# from edge lists
+@pytest.mark.parametrize("pattern", ["triangle", "c5", "k4"])
+def test_optima_and_witness_graphs_match_edge_lists(pattern):
+    h = named_graph(pattern)
+    for n in range(0, 10):
+        for t, p in enumerate((0.3, 0.6, 0.9)):
+            g = sample_gnp(n, p, RngStream(70 + n, t))
+            edges, masks = solvers._copy_masks(g, h)
+            tau = g.edge_count() - max_H_free(g, h)[0]
+            optima = enumerate_optimal_H_free(g, h, tau)
+            if masks:
+                want = [_kept(g, edges, dele)
+                        for dele in solvers._transversal_search(masks, tau)]
+            else:
+                want = [g]
+            assert optima == want and len(optima) >= 1
+            covered = 0
+            for m in masks:
+                covered |= m
+            w = _kept(g, edges, covered)
+            free = free_edge_witness(g, h)
+            if w.proper_colouring(h.chromatic_number() - 1) is None:
+                assert free == w
+            else:
+                assert free is None
 
 
 def test_enumerate_optima_counts():
