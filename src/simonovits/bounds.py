@@ -8,30 +8,27 @@ log-space and report both the raw log-bound and a probability clipped to
 PAPER_DEFAULTS, read by every module that needs them.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .patterns import most_induced_edges
+
 
 @dataclass(frozen=True)
 class Constants:
-    """The constants bundle.
+    """The constants bundle: kappa and eta for the structure Q and its
+    star unions, alpha for the switching (gamma = alpha / (24 r)).
 
     The source analysis only fixes a dependency order ("sufficiently
     small"), never numeric values; these toy values keep every guard
     satisfiable at desk scale.  They are fixed: PAPER_DEFAULTS is the one
-    instance the toolkit reads.
+    instance the toolkit reads, and it holds only the constants something
+    reads.
     """
     kappa: float = 0.1
     eta: float = 0.05
-    beta: float = 0.01
     alpha: float = 0.2
-    delta: float = 0.4
-    eps: float = 0.1
-    C_theta: float = 2.0
-    C_hat: float = 1.0
-    C_partial: float = 1.0
 
 
 PAPER_DEFAULTS = Constants()
@@ -99,26 +96,22 @@ def upper_tail_bound(alpha, ell, n, p):
 def balanced_condition_check(profile, n, p, C):
     """Margins of n^(v-2) p^(e-1) >= C^(e-1) over all nonempty subgraphs.
 
-    The margin depends only on the (vertex count, edge count) pair, so the
-    scan collects achievable pairs from vertex subsets.  For a strictly
-    balanced pattern also reports, per proper subgraph pair with
-    1 < e < e_H, the exponent lambda = (v-2) - (e-1)/m2 by which the margin
-    grows (as a power of n, at p proportional to n^(-1/m2)).
+    The margin depends only on the (vertex count, edge count) pair, and k
+    vertices span subgraphs with every edge count up to the most they
+    induce (most_induced_edges).  For a strictly balanced pattern also
+    reports, per proper subgraph pair with 1 < e < e_H, the exponent
+    lambda = (v-2) - (e-1)/m2 by which the margin grows (as a power of n,
+    at p proportional to n^(-1/m2)).
     """
     h = profile.pattern
     m2 = profile.m2
     if p < C * n ** (-1 / float(m2)):
         return {"applicable": False,
                 "reason": "p below C * n^(-1/m2)"}
-    max_e = {}
-    for k in range(1, h.n + 1):
-        for vs in itertools.combinations(range(h.n), k):
-            e = h.induced(vs).edge_count()
-            max_e[k] = max(max_e.get(k, 0), e)
     entries = []
     min_lambda = None
     all_hold = True
-    for v, emax in sorted(max_e.items()):
+    for v, emax in most_induced_edges(h).items():
         for e in range(2, emax + 1):
             margin = n ** (v - 2) * p ** (e - 1) / C ** (e - 1)
             holds = margin >= 1.0 - 1e-12
@@ -167,7 +160,7 @@ def mu_delta_lemma_check(which, h, q, s, n, p, profile=None):
                        "vacuous_pass": True})
         return report
     variant = "low" if which == "FQL" else "high"
-    fam, _ = residual_family(h, q, n, variant)
+    fam = residual_family(h, q, n, variant)
     restricted = induce(fam, s.ext_mask())
     mom_restricted = janson_moments(restricted, p, exact=True)
     mom_full = janson_moments(fam, p, exact=True)

@@ -199,17 +199,19 @@ def simulate_switching(pattern="triangle", n=12, p=0.5, runs=10, rounds=200,
                           "edge (0, 1)")
     h = graph_from_spec(pattern)
     r = h.chromatic_number() - 1
+    if r < 2:
+        raise ConfigError("pattern must have chromatic number at least 3")
     q_graph = Graph(n, [(0, 1)])
     colour = [1, 2] + [0] * (n - 2)
     q = ColoredGraph(q_graph, colour)
     fam = CutFamily(n, r, delta, q=q)
-    fam_resid, _ = residual_family(h, q, n, "low")
+    fam_resid = residual_family(h, q, n, "low")
     results = []
     for t in range(runs):
         g = sample_gnp(n, p, RngStream(seed, t)).with_edge(0, 1)
         vals = fam.values(g.edge_mask())
         cut = fam.cut(_stable_kth(vals,
-                                  (t * len(vals) // max(1, runs)) % len(vals)))
+                                  (t * len(vals) // runs) % len(vals)))
         trace = run_switching(g, q, cut, fam_resid, fam, vals, m=m, L=rounds,
                               seed=seed * 1000003 + t, p=p)
         check = validate_trace(trace, q, cut, d=n * n, fam=fam,

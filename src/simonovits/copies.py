@@ -17,7 +17,6 @@ from fractions import Fraction
 from .graph import Graph, TooLargeError, bitset_members, pair_mask
 
 EMBED_CAP = 2_000_000       # embeddings the "high" residual family may visit
-PROFILE_LIMIT = 200000      # subset enumerations for a Janson degree profile
 
 
 # -- embeddings and copies -----------------------------------------------
@@ -187,23 +186,6 @@ def count_copies(h, host):
     return total // aut
 
 
-def are_isomorphic(g1, g2):
-    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
-        return False
-    if sorted(g1.degree(v) for v in range(g1.n)) != \
-       sorted(g2.degree(v) for v in range(g2.n)):
-        return False
-    for img in embeddings(g1, g2):
-        ok = True
-        for (u, v) in itertools.combinations(range(g1.n), 2):
-            if g1.has_edge(u, v) != g2.has_edge(img[u], img[v]):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
 # -- copy hypergraphs ----------------------------------------------------
 
 def canonical_family(masks):
@@ -280,22 +262,20 @@ def _edge_orbit_leaders(h):
 def residual_family(h, q, n, variant="low"):
     """Residuals A - E(Q) of copies A of h in K_n meeting the structure q.
 
-    Variants "all" and "low" list only the copies through q: one oriented
-    pattern edge per Aut(h) orbit (_edge_orbit_leaders) is anchored on each
-    q-edge, so each copy through a q-edge is met once per automorphism
-    fixing that oriented edge, and kept once.
-
-    variant "all":  copies sharing at least one edge with q.
     variant "low":  copies sharing exactly one edge with q whose vertex set
                     spans exactly one q-edge; each residual has a unique
-                    completion back to a copy.
+                    completion back to a copy.  Only the copies through q
+                    are listed: one oriented pattern edge per Aut(h) orbit
+                    (_edge_orbit_leaders) is anchored on each q-edge, so
+                    each copy through a q-edge is met once per automorphism
+                    fixing that oriented edge, and kept once.
     variant "high": q must be a ColoredGraph with centres; copies place the
                     anchor of a critical edge on a centre v, its neighbours
                     into v's colour classes following a fixed proper
                     colouring, and all other vertices outside the centres;
                     raises TooLargeError past EMBED_CAP embeddings.
 
-    Returns (canonical family of residuals, {residual: [copy bitmasks]}).
+    Returns the canonical family of the nonempty residuals.
     """
     from .graph import ColoredGraph
     qg = q.graph if isinstance(q, ColoredGraph) else q
@@ -305,35 +285,24 @@ def residual_family(h, q, n, variant="low"):
     q_mask = qg.edge_mask()
     host = Graph(n, list(itertools.combinations(range(n), 2)))
     h_edges = h.edges()
-    completions = {}
+    kept = []               # copies as K_n edge bitmasks
 
     def copy_of(img):
         return pair_mask(n, ((img[u], img[v]) for (u, v) in h_edges))
 
-    def record(copy):
-        resid = copy & ~q_mask
-        if resid:
-            completions.setdefault(resid, []).append(copy)
-
-    if variant in ("all", "low"):
+    if variant == "low":
         found = {}              # copy -> bitmask of its vertices
         for (a, b) in q_edges:
             for (x, y) in _edge_orbit_leaders(h):
                 for img in embeddings(h, host, {x: [a], y: [b]}):
                     found[copy_of(img)] = sum(
                         1 << img[u] for u in range(h.n) if h.adj[u])
-        for copy in sorted(found, key=bitset_members):
-            shared = (copy & q_mask).bit_count()
-            if variant == "all":
-                if shared:
-                    record(copy)
+        for copy, vs in found.items():
+            if (copy & q_mask).bit_count() != 1:
                 continue
-            if shared != 1:
-                continue
-            vs = found[copy]
             spanned = sum(1 for (u, v) in q_edges if vs >> u & vs >> v & 1)
             if spanned == 1:
-                record(copy)
+                kept.append(copy)
     elif variant == "high":
         if not isinstance(q, ColoredGraph) or not q.centres:
             raise ValueError("variant 'high' needs a ColoredGraph with centres")
@@ -362,20 +331,18 @@ def residual_family(h, q, n, variant="low"):
                 count += 1
                 if count > EMBED_CAP:
                     raise TooLargeError("embedding cap exceeded")
-                record(copy_of(img))
+                kept.append(copy_of(img))
     else:
         raise ValueError("unknown variant %r" % variant)
 
-    return canonical_family(completions), completions
+    return canonical_family(c & ~q_mask for c in kept if c & ~q_mask)
 
 
 def janson_moments(family, p, exact=False):
     """First and second Janson moments of a family under p-thinning.
 
     mu = sum over members of p^|A|.  Delta = sum over unordered pairs of
-    distinct intersecting members of p^|A u B|.  Also returns the degree
-    profile: for each j, the largest number of members containing a common
-    j-subset (skipped past PROFILE_LIMIT subset enumerations).
+    distinct intersecting members of p^|A u B|.  Returns {"mu", "delta"}.
     """
     fam = canonical_family(family)
     elems = [bitset_members(a) for a in fam]
@@ -395,14 +362,4 @@ def janson_moments(family, p, exact=False):
     # float Delta does not depend on the set's layout
     unions = Counter((fam[i] | fam[j]).bit_count() for (i, j) in pairs)
     delta = sum(c * pv ** k for k, c in sorted(unions.items()))
-    profile = {}
-    max_size = max((len(a) for a in elems), default=0)
-    work = 0
-    for j in range(1, max_size + 1):
-        cnt = subset_counts(elems, j)
-        work += len(elems) + sum(cnt.values())
-        if work > PROFILE_LIMIT:
-            break
-        profile[j] = max(cnt.values(), default=0)
-    return {"mu": mu, "delta": delta, "degree_profile": profile,
-            "size": len(fam)}
+    return {"mu": mu, "delta": delta}

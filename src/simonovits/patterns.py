@@ -12,40 +12,35 @@ import itertools
 import math
 from fractions import Fraction
 
-from .copies import are_isomorphic, automorphism_count
+from .copies import automorphism_count
+
+
+def most_induced_edges(h):
+    """{k: the most edges that k vertices of h induce} for k = 1..v."""
+    def edges(vs):
+        mask = sum(1 << u for u in vs)
+        return sum((h.adj[u] & mask).bit_count() for u in vs) // 2
+    return {k: max(map(edges, itertools.combinations(range(h.n), k)))
+            for k in range(1, h.n + 1)}
 
 
 def two_density(h):
-    """Maximum 2-density and the maximising subgraphs up to isomorphism.
+    """Maximum 2-density and whether h is strictly 2-balanced.
 
-    Returns (Fraction, witnesses, strictly_balanced).  Only induced
-    subgraphs can maximise (dropping edges at fixed vertex count lowers the
-    ratio), so the scan runs over vertex subsets.  strictly_balanced means
-    the maximum is attained only by the whole pattern.
+    Returns (Fraction, strictly_balanced).  Only induced subgraphs can
+    maximise (dropping edges at fixed vertex count lowers the ratio), so
+    for each k the densest k vertices stand for all subgraphs on k
+    vertices.  strictly_balanced means the ratio at k = v is the maximum
+    and no k < v reaches it: the maximum is attained only by the whole
+    pattern.
     """
     if h.edge_count() < 2:
         raise ValueError("pattern needs at least two edges")
-    best = None
-    argmax = []
-    for k in range(3, h.n + 1):
-        for vs in itertools.combinations(range(h.n), k):
-            sub = h.induced(vs)
-            e = sub.edge_count()
-            if e < 2:
-                continue
-            d = Fraction(e - 1, k - 2)
-            if best is None or d > best:
-                best = d
-                argmax = [sub]
-            elif d == best:
-                argmax.append(sub)
-    witnesses = []
-    for sub in argmax:
-        if not any(are_isomorphic(sub, w) for w in witnesses):
-            witnesses.append(sub)
-    strictly = (len(argmax) == 1 and argmax[0].n == h.n
-                and argmax[0].edge_count() == h.edge_count())
-    return best, witnesses, strictly
+    ratios = {k: Fraction(e - 1, k - 2)
+              for k, e in most_induced_edges(h).items() if e >= 2}
+    whole = ratios[h.n]
+    strictly = all(d < whole for k, d in ratios.items() if k < h.n)
+    return max(ratios.values()), strictly
 
 
 def is_edge_critical(h):
@@ -111,7 +106,7 @@ def theta_coefficient(h, pi=None, m2=None):
     if not pi:
         raise ValueError("theta needs an edge-critical pattern (pi = 0)")
     if m2 is None:
-        m2, _, _ = two_density(h)
+        m2, _ = two_density(h)
     r = h.chromatic_number() - 1
     v, e = h.n, h.edge_count()
     power = (2 - 1 / Fraction(m2)) * Fraction(r) ** (v - 2) / pi
@@ -120,21 +115,8 @@ def theta_coefficient(h, pi=None, m2=None):
 
 
 def p_threshold(h, n, c_mult=1.0):
-    """Threshold probability theta * n^(-1/m2) * (log n)^(1/(e-1)), clipped
-    to [0, 1].  Logs are natural throughout.  Raises ValueError when h is
-    not edge-critical, since theta is then undefined."""
-    m2, _, _ = two_density(h)
-    theta, _, _ = theta_coefficient(h, m2=m2)
-    return _clipped_threshold(n, c_mult, theta, m2, h.edge_count())
-
-
-def _clipped_threshold(n, c_mult, theta, m2, e):
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if theta is None:
-        raise ValueError("p_H needs an edge-critical pattern (pi = 0)")
-    p = c_mult * theta * n ** (-1 / float(m2)) * math.log(n) ** (1.0 / (e - 1))
-    return min(1.0, max(0.0, p))
+    """PatternProfile(h).p_threshold(n, c_mult), for one-off use."""
+    return PatternProfile(h).p_threshold(n, c_mult)
 
 
 def dense_min_degree_bound(h, n):
@@ -159,7 +141,7 @@ class PatternProfile:
         self.e = h.edge_count()
         self.chi = h.chromatic_number()
         self.r = self.chi - 1
-        self.m2, self.m2_witnesses, self.strictly_balanced = two_density(h)
+        self.m2, self.strictly_balanced = two_density(h)
         self.edge_critical, self.critical_edges = is_edge_critical(h)
         self.pi = pi_coefficient(h)
         self.theta, self.theta_power, self.theta_exponent = (
@@ -167,7 +149,17 @@ class PatternProfile:
             else (None, None, self.e - 1))      # theta undefined when pi = 0
 
     def p_threshold(self, n, c_mult=1.0):
-        return _clipped_threshold(n, c_mult, self.theta, self.m2, self.e)
+        """Threshold probability c_mult * theta * n^(-1/m2) *
+        (log n)^(1/(e-1)), clipped to [0, 1].  Logs are natural throughout.
+        Raises ValueError when h is not edge-critical, since theta is then
+        undefined."""
+        if n < 2:
+            raise ValueError("need n >= 2")
+        if self.theta is None:
+            raise ValueError("p_H needs an edge-critical pattern (pi = 0)")
+        p = (c_mult * self.theta * n ** (-1 / float(self.m2))
+             * math.log(n) ** (1.0 / (self.e - 1)))
+        return min(1.0, max(0.0, p))
 
     def as_dict(self):
         return {

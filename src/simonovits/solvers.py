@@ -529,8 +529,12 @@ def max_H_free(g, h):
     """Size of a largest h-free subgraph of g and one witness.
 
     ex(g, h) = e(g) - tau where tau is the minimum transversal of the copy
-    hypergraph, found by an exact integer program.
+    hypergraph, found by an exact integer program.  Raises ValueError for
+    a pattern with no edges: its copies are empty edge sets, which no
+    deletion hits, so no subgraph is h-free.
     """
+    if not h.edge_count():
+        raise ValueError("pattern has no edges, so no subgraph is free of it")
     edges, masks = _copy_masks(g, h)
     if not masks:
         return g.edge_count(), g

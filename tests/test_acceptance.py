@@ -248,7 +248,7 @@ def test_switching_validator(capsys):
         n = 12
         structures = _switch_structures(n)
         fams = [CutFamily(n, 2, 0.4, q=q) for q in structures]
-        resids = [residual_family(K3, q.graph, n, "low")[0]
+        resids = [residual_family(K3, q.graph, n, "low")
                   for q in structures]
         stepped = []
         for t in range(100):

@@ -88,11 +88,17 @@ def test_simulate_switching_guard():
     assert run(["simulate-switching", "--n", "40", "--runs", "1"]) == 5
 
 
-def test_simulate_switching_colour_above_r_exits_2(capsys):
-    # C4 is bipartite, so r = 1 and vertex 1's colour 2 names no part
-    assert run(["simulate-switching", "--pattern", "4:0-1,1-2,2-3,3-0",
-                "--n", "8"]) == 2
-    assert "empty cut family" in capsys.readouterr().err
+@pytest.mark.parametrize("pattern", ["4:0-1,1-2,2-3,3-0", "3:", "1:"],
+                         ids=["c4", "edgeless-3", "edgeless-1"])
+def test_simulate_switching_refuses_chromatic_number_below_3(capsys,
+                                                             pattern):
+    # r = chi - 1 is 1 for C4 and 0 for an edgeless pattern: no part takes
+    # the structure's colour 2, and r = 0 has no cuts at all
+    assert run(["simulate-switching", "--pattern", pattern, "--n", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: pattern must have chromatic "
+                            "number at least 3\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -165,6 +171,17 @@ def test_verify_lemma_pif_balanced_refuses_zero_trials(capsys):
     assert run(["verify-lemma", "--lemma", "pif-balanced",
                 "--trials", "0"]) == 2
     assert "trials must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pattern", ["3:", "0:", "1:"])
+def test_verify_lemma_pif_balanced_refuses_an_edgeless_pattern(capsys,
+                                                                pattern):
+    # every copy of an edgeless pattern is the empty edge set, which no
+    # deletion hits, so the hitting-set program has no solution
+    assert run(["verify-lemma", "--lemma", "pif-balanced", "--pattern",
+                pattern, "--n", "6", "--trials", "1"]) == 2
+    assert capsys.readouterr().err == ("config error: pattern has no edges, "
+                                       "so no subgraph is free of it\n")
 
 
 def test_verify_lemma_balanced_refuses_n_below_one(capsys):

@@ -1,6 +1,6 @@
 """Every optional parameter in the package is set by some call, every
-definition has a caller outside the tests, and every imported name is
-used.
+definition has a caller outside the tests, every stored attribute is read,
+and every imported name is used.
 
 An option that no call in the package, its tests or its benchmark passes
 always takes its default, so it is a constant spelled as a parameter.  A
@@ -9,8 +9,11 @@ names is code that only its own tests keep alive.  Both checks match names
 alone, which can only hide a finding, never invent one: an `as_dict` method
 on `Constants` that nothing calls would pass the caller check, because
 `as_dict` also names the methods of `PatternProfile` and `SimonovitsVerdict`
-that the CLI calls.  An import that its module never reads, in the package,
-its tests or its benchmark, is a dependency that nothing needs."""
+that the CLI calls.  An attribute that the package stores and nothing in
+it or its benchmark reads is a result computed to be thrown away; that
+check matches names too, so a field named `delta` would pass while
+`args.delta` is read.  An import that its module never reads, in the
+package, its tests or its benchmark, is a dependency that nothing needs."""
 
 import ast
 import pathlib
@@ -250,6 +253,63 @@ def test_caller_check_follows_dead_code_and_skips_dunders():
     src = [("f", "f", source)]
     assert _uncalled(src, src) == {"f.dead", "f.only_dead", "f.A.m"}
     assert _uncalled(src, src, kept={"f.dead"}) == {"f.A.m"}
+
+
+def _stored(source):
+    """Names of each `self.<name> =` store and each annotated class field
+    in the source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Store) and \
+                isinstance(node.value, ast.Name) and node.value.id == "self":
+            found.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            found.update(s.target.id for s in node.body
+                         if isinstance(s, ast.AnnAssign)
+                         and isinstance(s.target, ast.Name))
+    return found
+
+
+def _read_names(source):
+    """Each identifier and attribute that the source reads, not stores,
+    and each string, which may name an attribute (as in __slots__)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and \
+                not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and \
+                not isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _unread(store_sources, read_sources):
+    stored = set().union(*map(_stored, store_sources))
+    return stored - set().union(*map(_read_names, read_sources))
+
+
+def test_every_stored_attribute_is_read():
+    stores = _read(sorted(SRC.glob("*.py")))
+    reads = _read(sorted(p for d in (ROOT / "src", ROOT / "perfbench")
+                         for p in d.rglob("*.py")))
+    assert _unread(stores, reads) == set()
+
+
+def test_attribute_check_sees_stores_fields_and_reads():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass\nclass C:\n    used: int = 0\n"
+              "    unused: float = 1.0\n"
+              "class A:\n    def __init__(self):\n"
+              "        self.a, self.b = 1, 2\n        self.c = 3\n"
+              "        self.slot = 4\n        self.c += 1\n"
+              "    __slots__ = ('slot',)\n"
+              "    def m(self):\n        return self.a + C().used\n")
+    assert _stored(source) == {"used", "unused", "a", "b", "c", "slot"}
+    assert _unread([source], [source]) == {"unused", "b", "c"}
 
 
 def _unused_imports(source):

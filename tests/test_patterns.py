@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,12 +25,47 @@ def test_two_density_values():
 
 def test_strict_balance():
     for name in ("triangle", "c5", "k4", "k5"):
-        assert two_density(named_graph(name))[2]
+        assert two_density(named_graph(name))[1]
     # a triangle with a pendant edge maximises on the proper subgraph
     g = Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-    d, wits, strict = two_density(g)
-    assert d == 2 and not strict
-    assert all(w.edge_count() == 3 for w in wits)
+    assert two_density(g) == (2, False)
+    # the bowtie's triangles (ratio 2) beat the whole bowtie (5/3)
+    assert two_density(graph_from_spec("5:0-1,0-2,1-2,2-3,2-4,3-4")) \
+        == (2, False)
+    # K4 minus an edge ties its triangles at ratio 2: a tie is not strict
+    assert two_density(graph_from_spec("4:0-1,0-2,1-2,1-3,2-3")) \
+        == (2, False)
+    # two disjoint edges: no three vertices span two edges
+    assert two_density(Graph(4, [(0, 1), (2, 3)])) == (Fraction(1, 2), True)
+
+
+def _reference_two_density(h):
+    """The scan over every vertex subset that two_density made before it
+    kept only the densest k vertices for each k: (maximum ratio, whether
+    the whole pattern alone attains it)."""
+    best, argmax = None, []
+    for k in range(3, h.n + 1):
+        for vs in itertools.combinations(range(h.n), k):
+            e = h.induced(vs).edge_count()
+            if e < 2:
+                continue
+            d = Fraction(e - 1, k - 2)
+            if best is None or d > best:
+                best, argmax = d, [(k, e)]
+            elif d == best:
+                argmax.append((k, e))
+    return best, argmax == [(h.n, h.edge_count())]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_two_density_matches_the_subset_scan(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        n, q = rng.randint(3, 7), rng.choice((0.3, 0.5, 0.8))
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2)
+                      if rng.random() < q])
+        if g.edge_count() >= 2:
+            assert two_density(g) == _reference_two_density(g)
 
 
 def test_two_density_rejects_tiny():

@@ -367,7 +367,7 @@ def test_switching_runs_and_validates():
     n = 12
     q = _q_pair(n)
     fam = CutFamily(n, 2, 0.4, q=q)
-    fam_resid, _ = residual_family(K3, q, n, "low")
+    fam_resid = residual_family(K3, q, n, "low")
     for t in range(20):
         p = [0.3, 0.5, 0.8][t % 3]
         g = sample_gnp(n, p, RngStream(77, t)).with_edge(0, 1)
@@ -390,7 +390,7 @@ def test_switching_requires_structure_inside():
     n = 6
     q = _q_pair(n)
     fam = CutFamily(n, 2, 0.4, q=q)
-    fam_resid, _ = residual_family(K3, q, n, "low")
+    fam_resid = residual_family(K3, q, n, "low")
     g = Graph(n, [(2, 3)])
     with pytest.raises(ValueError):
         run_switching(g, q, fam.cut(0), fam_resid, fam,
@@ -400,7 +400,7 @@ def test_switching_requires_structure_inside():
 def _one_trace(seed=4, p=0.5, n=12):
     q = _q_pair(n)
     fam = CutFamily(n, 2, 0.4, q=q)
-    fam_resid, _ = residual_family(K3, q, n, "low")
+    fam_resid = residual_family(K3, q, n, "low")
     g = sample_gnp(n, p, RngStream(88, seed)).with_edge(0, 1)
     vals = fam.values(g.edge_mask()).tolist()
     order = sorted(range(len(fam)), key=lambda i: vals[i])
@@ -464,7 +464,7 @@ def test_validator_catches_a_trace_run_from_another_graph():
     n, p = 12, 0.5
     q = _q_pair(n)
     fam = CutFamily(n, 2, 0.4, q=q)
-    fam_resid, _ = residual_family(K3, q, n, "low")
+    fam_resid = residual_family(K3, q, n, "low")
     g = sample_gnp(n, p, RngStream(99, 20)).with_edge(0, 1)
     other = sample_gnp(n, p, RngStream(88, 20)).with_edge(0, 1)
     assert g.edge_count() == other.edge_count() == 33
@@ -568,7 +568,7 @@ def test_carried_scores_match_fresh_scoring(monkeypatch, h, n, r, p):
     # state, in the run and in its validation, equal CutFamily.values
     q = _q_pair(n)
     fam = CutFamily(n, r, 0.4, q=q)
-    fam_resid, _ = residual_family(h, q, n, "low")
+    fam_resid = residual_family(h, q, n, "low")
     values, full, seen = _spy_scores(monkeypatch)
     steps = 0
     for t in range(4):
@@ -600,7 +600,7 @@ def test_argmax_set_work_is_done_once_per_family(monkeypatch, h, n, r, p):
     q = _q_pair(n)
     fam = CutFamily(n, r, 0.4, q=q)
     fresh = CutFamily(n, r, 0.4, q=q)
-    fam_resid, _ = residual_family(h, q, n, "low")
+    fam_resid = residual_family(h, q, n, "low")
     crossed_by_all = CutFamily.crossed_by_all
     classes_of = rigidity._equivalence_classes
     branch = rigidity._switch_branch
