@@ -131,8 +131,9 @@ def balanced_condition_check(profile, n, p, C):
 
 # -- exact family moment checks ------------------------------------------
 
-def mu_delta_lemma_check(which, h, q, s, n, p, profile=None):
-    """Exact first/second moment check for the residual families.
+def mu_delta_lemma_check(which, h, q, s, n, p, profile):
+    """Exact first/second moment check for the residual families of the
+    coloured structure q (a ColoredGraph); profile is h's PatternProfile.
 
     which="FQL": the unique-completion residual family of the low-degree
     structure q, restricted to the crossing pairs of the partition s; also
@@ -145,15 +146,12 @@ def mu_delta_lemma_check(which, h, q, s, n, p, profile=None):
     reports exact moments and fitted constants against the asymptotic
     targets (descriptive, not pass/fail).
     """
-    from .graph import ColoredGraph, complete_multipartite
+    from .graph import complete_multipartite
     from .copies import residual_family, janson_moments, count_copies, \
         induce
-    from .patterns import PatternProfile
 
-    if profile is None:
-        profile = PatternProfile(h)
     v_h, e_h = profile.v, profile.e
-    qg = q.graph if isinstance(q, ColoredGraph) else q
+    qg = q.graph
     report = {"which": which, "n": n, "p": p, "eQ": qg.edge_count()}
     if qg.edge_count() == 0:
         report.update({"applicable": False, "reason": "empty structure",
@@ -162,8 +160,8 @@ def mu_delta_lemma_check(which, h, q, s, n, p, profile=None):
     variant = "low" if which == "FQL" else "high"
     fam = residual_family(h, q, n, variant)
     restricted = induce(fam, s.ext_mask())
-    mom_restricted = janson_moments(restricted, p, exact=True)
-    mom_full = janson_moments(fam, p, exact=True)
+    mom_restricted = janson_moments(restricted, p)
+    mom_full = janson_moments(fam, p)
     mu = mom_restricted["mu"]
     delta = mom_full["delta"]
     report.update({
@@ -199,7 +197,7 @@ def mu_delta_lemma_check(which, h, q, s, n, p, profile=None):
                                                 * p ** (e_h - 1))) if mu else None,
         })
     else:
-        kq = len(q.centres) if isinstance(q, ColoredGraph) else 0
+        kq = len(q.centres)
         cap1 = min(kq * n ** (v_h - 1) * p ** e_h, n * n * p)
         mu_f = float(mu)
         report.update({

@@ -288,7 +288,9 @@ def verify_lemma(lemma, pattern="triangle", n=12, p=0.6, delta=0.4,
             sizes = [max(profile.v + 1, n // r)] * r
         total = sum(sizes)
         if lemma == "fql":
-            q = Graph(total, [(0, 1)])
+            # the one-edge structure simulate_switching runs from
+            q = ColoredGraph(Graph(total, [(0, 1)]),
+                             [1, 2] + [0] * (total - 2))
         else:
             # one star: centre 0 (colour 1) joined to vertex k - 1 (colour k)
             star = Graph(total, [(0, k - 1) for k in range(2, r + 1)])
@@ -306,6 +308,9 @@ def verify_lemma(lemma, pattern="triangle", n=12, p=0.6, delta=0.4,
             raise ConfigError("trials must be at least 1")
         h = graph_from_spec(pattern)
         r = h.chromatic_number() - 1
+        # an edgeless pattern goes on to max_H_free's own refusal
+        if r < 2 and h.edge_count():
+            raise ConfigError("pattern must have chromatic number at least 3")
         balanced = 0
         details = []
         for t in range(trials):

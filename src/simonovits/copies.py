@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .graph import Graph, TooLargeError, bitset_members, pair_mask
 
-EMBED_CAP = 2_000_000       # embeddings the "high" residual family may visit
+EMBED_CAP = 2_000_000       # embeddings a residual family may visit
 
 
 # -- embeddings and copies -----------------------------------------------
@@ -93,8 +93,8 @@ def embeddings(h, host, fixed=None):
         rec = None      # the closure refers to itself; free it with the call
 
 
-def count_embeddings(h, host, fixed=None):
-    return sum(1 for _ in embeddings(h, host, fixed))
+def count_embeddings(h, host):
+    return sum(1 for _ in embeddings(h, host))
 
 
 def automorphism_count(h):
@@ -208,18 +208,6 @@ def induce(family, ground):
     return [a for a in family if not a & ~ground]
 
 
-def link(family, element):
-    """Nonempty sets A - {element} for members A containing the element."""
-    bit = 1 << element
-    return canonical_family(a ^ bit for a in family if a & bit and a != bit)
-
-
-def boundary(family):
-    """Nonempty sets obtainable by dropping one element from a member."""
-    return canonical_family(a & ~(1 << x) for a in family
-                            for x in bitset_members(a) if a != 1 << x)
-
-
 def subset_counts(members, j):
     """How many members contain each j-subset; members are sorted element
     sequences and the keys sorted tuples."""
@@ -260,7 +248,8 @@ def _edge_orbit_leaders(h):
 
 
 def residual_family(h, q, n, variant="low"):
-    """Residuals A - E(Q) of copies A of h in K_n meeting the structure q.
+    """Residuals A - E(Q) of copies A of h in K_n meeting the coloured
+    structure q (a ColoredGraph).
 
     variant "low":  copies sharing exactly one edge with q whose vertex set
                     spans exactly one q-edge; each residual has a unique
@@ -269,16 +258,15 @@ def residual_family(h, q, n, variant="low"):
                     (_edge_orbit_leaders) is anchored on each q-edge, so
                     each copy through a q-edge is met once per automorphism
                     fixing that oriented edge, and kept once.
-    variant "high": q must be a ColoredGraph with centres; copies place the
-                    anchor of a critical edge on a centre v, its neighbours
-                    into v's colour classes following a fixed proper
-                    colouring, and all other vertices outside the centres;
-                    raises TooLargeError past EMBED_CAP embeddings.
+    variant "high": q must have centres; copies place the anchor of a
+                    critical edge on a centre v, its neighbours into v's
+                    colour classes following a fixed proper colouring, and
+                    all other vertices outside the centres.
 
+    Either variant raises TooLargeError past EMBED_CAP embeddings.
     Returns the canonical family of the nonempty residuals.
     """
-    from .graph import ColoredGraph
-    qg = q.graph if isinstance(q, ColoredGraph) else q
+    qg = q.graph
     if qg.n != n:
         raise ValueError("structure has wrong vertex count")
     q_edges = qg.edges()
@@ -287,7 +275,13 @@ def residual_family(h, q, n, variant="low"):
     h_edges = h.edges()
     kept = []               # copies as K_n edge bitmasks
 
+    count = 0
+
     def copy_of(img):
+        nonlocal count
+        count += 1
+        if count > EMBED_CAP:
+            raise TooLargeError("embedding cap exceeded")
         return pair_mask(n, ((img[u], img[v]) for (u, v) in h_edges))
 
     if variant == "low":
@@ -304,7 +298,7 @@ def residual_family(h, q, n, variant="low"):
             if spanned == 1:
                 kept.append(copy)
     elif variant == "high":
-        if not isinstance(q, ColoredGraph) or not q.centres:
+        if not q.centres:
             raise ValueError("variant 'high' needs a ColoredGraph with centres")
         f, anchor = critical_edge_and_anchor(h)
         r = h.chromatic_number() - 1
@@ -317,7 +311,6 @@ def residual_family(h, q, n, variant="low"):
             a = phi[anchor]
             phi = [0 if c == a else a if c == 0 else c for c in phi]
         outside = [v for v in range(n) if v not in q.centres]
-        count = 0
         star_nbrs = hf.neighbours(anchor)   # critical-edge partner excluded
         for centre in sorted(q.centres):
             fixed = {anchor: [centre]}
@@ -328,9 +321,6 @@ def residual_family(h, q, n, variant="low"):
             for v in rest:
                 fixed[v] = outside
             for img in embeddings(h, host, fixed):
-                count += 1
-                if count > EMBED_CAP:
-                    raise TooLargeError("embedding cap exceeded")
                 kept.append(copy_of(img))
     else:
         raise ValueError("unknown variant %r" % variant)
@@ -338,16 +328,17 @@ def residual_family(h, q, n, variant="low"):
     return canonical_family(c & ~q_mask for c in kept if c & ~q_mask)
 
 
-def janson_moments(family, p, exact=False):
-    """First and second Janson moments of a family under p-thinning.
+def janson_moments(family, p):
+    """First and second Janson moments of a family under p-thinning, as
+    exact Fractions (a float p counts as the binary fraction it holds).
 
     mu = sum over members of p^|A|.  Delta = sum over unordered pairs of
-    distinct intersecting members of p^|A u B|.  Returns {"mu", "delta"}.
+    distinct intersecting members of p^|A u B|, counted per union size.
+    Returns {"mu", "delta"}.
     """
     fam = canonical_family(family)
     elems = [bitset_members(a) for a in fam]
-    num = Fraction if exact else float
-    pv = num(p)
+    pv = Fraction(p)
     mu = sum(pv ** a.bit_count() for a in fam)
     # group members by shared element to find intersecting pairs
     by_elem = {}
@@ -358,8 +349,6 @@ def janson_moments(family, p, exact=False):
     for idxs in by_elem.values():
         for i, j in itertools.combinations(idxs, 2):
             pairs.add((i, j))
-    # pairs counted per union size and added smallest size first, so a
-    # float Delta does not depend on the set's layout
     unions = Counter((fam[i] | fam[j]).bit_count() for (i, j) in pairs)
-    delta = sum(c * pv ** k for k, c in sorted(unions.items()))
+    delta = sum(c * pv ** k for k, c in unions.items())
     return {"mu": mu, "delta": delta}

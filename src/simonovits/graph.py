@@ -300,16 +300,14 @@ def named_graph(name):
 
 
 def graph_from_spec(text_or_name):
-    """Resolve a named graph, a file path, or an inline description.  A
-    bare word that names no graph and no file is an unknown name."""
+    """Resolve a named graph, a file path, or an inline description; any
+    other spec is an unknown graph name."""
     import os
     if text_or_name not in NAMED_GRAPHS and os.path.exists(text_or_name):
         return load_graph(text_or_name)
     if ":" in text_or_name:
         return parse_inline(text_or_name)
-    if text_or_name.isidentifier():
-        return named_graph(text_or_name)
-    return parse_graph(text_or_name)
+    return named_graph(text_or_name)
 
 
 # -- partitions ----------------------------------------------------------

@@ -114,9 +114,9 @@ def theta_coefficient(h, pi=None, m2=None):
     return theta, power, e - 1
 
 
-def p_threshold(h, n, c_mult=1.0):
-    """PatternProfile(h).p_threshold(n, c_mult), for one-off use."""
-    return PatternProfile(h).p_threshold(n, c_mult)
+def p_threshold(h, n):
+    """PatternProfile(h).p_threshold(n), for one-off use."""
+    return PatternProfile(h).p_threshold(n)
 
 
 def dense_min_degree_bound(h, n):
@@ -148,16 +148,16 @@ class PatternProfile:
             theta_coefficient(h, pi=self.pi, m2=self.m2) if self.pi
             else (None, None, self.e - 1))      # theta undefined when pi = 0
 
-    def p_threshold(self, n, c_mult=1.0):
-        """Threshold probability c_mult * theta * n^(-1/m2) *
-        (log n)^(1/(e-1)), clipped to [0, 1].  Logs are natural throughout.
-        Raises ValueError when h is not edge-critical, since theta is then
-        undefined."""
+    def p_threshold(self, n):
+        """Threshold probability p_H = theta * n^(-1/m2) * (log n)^(1/(e-1)),
+        clipped to [0, 1]; a scan multiplies it by its own factors.  Logs
+        are natural throughout.  Raises ValueError when h is not
+        edge-critical, since theta is then undefined."""
         if n < 2:
             raise ValueError("need n >= 2")
         if self.theta is None:
             raise ValueError("p_H needs an edge-critical pattern (pi = 0)")
-        p = (c_mult * self.theta * n ** (-1 / float(self.m2))
+        p = (self.theta * n ** (-1 / float(self.m2))
              * math.log(n) ** (1.0 / (self.e - 1)))
         return min(1.0, max(0.0, p))
 

@@ -3,12 +3,12 @@ switching algorithm with its trace validator.
 
 A cut family is every balanced compatible r-part assignment, stored once:
 a digit array with one row per assignment, sorted, in which the columns of
-coloured vertices hold their pinned parts, and a packed matrix of their
-crossing masks (64-bit words) so that one numpy popcount scores every cut;
-rigidity depends on the full argmax set, so enumeration is exact with a
-hard guard and never sampled.  A switching run scores its family once and
-then moves the scores by the pairs each step changes; what depends only on
-a state's set of maximum cuts is computed once per set and family.
+coloured vertices hold their pinned parts, and byte planes of their
+crossing masks, so that one numpy popcount scores every cut; rigidity
+depends on the full argmax set, so enumeration is exact with a hard guard
+and never sampled.  A switching run scores its family once and then moves
+the scores by the pairs each step changes; what depends only on a state's
+set of maximum cuts is computed once per set and family.
 """
 
 import bisect
@@ -25,7 +25,6 @@ FAMILY_BYTES = 2 ** 30          # bytes kept
 # most rows of a family's low half-table, so of each chunk it writes:
 # larger chunks raise the peak memory of the build's temporaries
 _CHUNK = 1 << 12
-_WORD = (1 << 64) - 1
 
 
 class CutFamily:
@@ -35,31 +34,32 @@ class CutFamily:
 
     Only the uncoloured vertices are enumerated; each coloured vertex's
     column holds its pinned digit.  ``assignments`` is a numpy array with
-    one row of part digits per assignment; ``_words`` holds the crossing
-    pairs of each assignment, in ``edge_index`` order, packed into 64-bit
-    words (one row per word, one column per assignment), so that
-    ``values`` scores every cut with one popcount per word; ``_planes``
-    holds the same bits one byte plane per row (pair e is bit e & 7 of
-    plane e >> 3), so that ``update`` reads a pair's crossing column from
-    contiguous bytes.  All are allocated once, at the size the balance
-    window allows, after two guards: at most ``FAMILY_GUARD``
-    assignments enumerated and at most ``FAMILY_BYTES`` kept.  Scores
-    take the smallest unsigned dtype that holds C(n, 2), and ``update``
-    shifts each pair's column into one preallocated byte row.
-    ``_argmax`` keeps, per alpha, what the switching branch logic derives
-    from an argmax set alone (``_switch_branch``), so the runs and
-    validations on one family compute it once per set.
+    one row of part digits per assignment; ``_planes`` holds the crossing
+    pairs of each assignment, in ``edge_index`` order, as byte planes (one
+    row per plane, one column per assignment; pair e is bit e & 7 of plane
+    e >> 3, so the planes are the little-endian bytes of the crossing
+    mask), and ``_scratch``, of the planes' shape, is where ``values``
+    scores them.  All are allocated once, at the size the balance window
+    allows, after two guards: at most ``FAMILY_GUARD`` assignments
+    enumerated and at most ``FAMILY_BYTES`` kept.  Scores take the
+    smallest unsigned dtype that holds C(n, 2), and ``update`` shifts each
+    pair's bit out of its plane into one preallocated byte row.
+    ``_argmax`` keeps what the switching branch logic derives from an
+    argmax set alone (``_switch_branch``), so the runs and validations on
+    one family compute it once per set.
 
     The rows are built from two half-tables (``_half_table``): the
     uncoloured vertices split into a high prefix, whose table starts from
     the pinned row, and a low suffix of at most ``_CHUNK`` assignments.
     A pair crosses exactly when exactly one of its ends lies in some part
     k < r-1 (a pair with both ends in part r-1 does not cross), so an
-    assignment's crossing words are the OR over those k of the XOR of the
-    star words of part k's vertices, and each table keeps those XORs per
+    assignment's crossing planes are the OR over those k of the XOR of the
+    star planes of part k's vertices, and each table keeps those XORs per
     row.  Each high row then yields one chunk of the family: the low rows
     that its part counts keep balanced, their digits ORed with its digits
-    and, for each k, their XORs with its XOR.
+    and, for each k, their XORs with its XOR.  The row total, the sum of
+    those chunks' lengths, is counted from the tables before the family
+    is allocated.
     """
 
     def __init__(self, n, r, delta, q=None):
@@ -71,33 +71,16 @@ class CutFamily:
         colour = q.colour if q is not None else ()
         pinned = {v: c - 1 for v, c in enumerate(colour) if c >= 1}
         free = [v for v in range(n) if v not in pinned]
-        base = [0] * r              # pinned vertices in each part
-        for k in pinned.values():
-            if k >= r:
-                raise ValueError("empty cut family")
-            base[k] += 1
+        if any(k >= r for k in pinned.values()):
+            raise ValueError("empty cut family")
         if r ** len(free) > FAMILY_GUARD:
             raise TooLargeError("cut family too large: %d^%d assignments "
                                 "to enumerate" % (r, len(free)))
-        total = _balanced_count(len(free), r, lambda k, s:
-                                lo <= base[k] + s <= hi)
-        if not total:
-            raise ValueError("empty cut family")
         n_words = max(1, -(-(n * (n - 1) // 2) // 64))
-        digit = np.min_scalar_type(r - 1)
-        row_bytes = n * digit.itemsize + 16 * n_words
-        if total * row_bytes > FAMILY_BYTES:
-            raise TooLargeError("cut family too large: %d cuts of %d bytes"
-                                % (total, row_bytes))
-        self.assignments = np.empty((total, n), digit)
-        self._words = np.empty((n_words, total), np.uint64)
-        self._planes = np.empty((8 * n_words, total), np.uint8)
-        self._score = np.min_scalar_type(n * (n - 1) // 2)
-        self._column = np.empty(total, np.uint8)
-        self._argmax = {}
         stars = np.frombuffer(b"".join(
             m.to_bytes(8 * n_words, "little") for m in _vertex_pairs(n)),
-            "<u8").reshape(n, n_words)
+            np.uint8).reshape(n, 8 * n_words)
+        digit = np.min_scalar_type(r - 1)
         low = len(free)
         while r ** low > _CHUNK:
             low -= 1
@@ -106,29 +89,40 @@ class CutFamily:
             r, free[:split], pinned, stars, digit)
         low_digits, low_counts, low_acc = _half_table(
             r, free[split:], {}, stars, digit)
-        # the high rows' XORs as columns: (r-1, rows, words or planes, 1)
-        high_words = high_acc[..., None]
-        high_planes = _bytes(high_acc)[..., None]
-        # high part counts -> the low rows they keep balanced, laid out as
-        # the family is (digits by row, XORs by word and by byte plane) so
-        # that each chunk is written without a transpose
-        kept = {}
+        # the distinct part counts of the high rows, and for each the low
+        # rows it keeps balanced
+        counts, which = np.unique(high_counts, axis=0, return_inverse=True)
+        sizes = counts[:, None] + low_counts
+        keep = ((lo <= sizes) & (sizes <= hi)).all(axis=2)
+        which = which.ravel().tolist()
+        total = int(keep.sum(axis=1)[which].sum())
+        if not total:
+            raise ValueError("empty cut family")
+        row_bytes = n * digit.itemsize + 16 * n_words
+        if total * row_bytes > FAMILY_BYTES:
+            raise TooLargeError("cut family too large: %d cuts of %d bytes"
+                                % (total, row_bytes))
+        self.assignments = np.empty((total, n), digit)
+        self._planes = np.empty((8 * n_words, total), np.uint8)
+        self._scratch = np.empty_like(self._planes)
+        self._score = np.min_scalar_type(n * (n - 1) // 2)
+        self._column = np.empty(total, np.uint8)
+        self._argmax = {}
+        # the high rows' XORs as columns: (r-1, rows, planes, 1)
+        high_planes = high_acc[..., None]
+        # the kept low rows of each part count, laid out as the family is
+        # (digits by row, XORs by plane) so that each chunk is written
+        # without a transpose
+        chunks = {}
         at = 0
-        for i, counts in enumerate(high_counts):
-            key = counts.tobytes()
-            if key not in kept:
-                sizes = low_counts + counts
-                keep = ((lo <= sizes) & (sizes <= hi)).all(axis=1)
-                acc = low_acc[:, keep]
-                kept[key] = (low_digits[keep],
-                             acc.transpose(0, 2, 1).copy(),
-                             _bytes(acc).transpose(0, 2, 1).copy())
-            digits, words, planes = kept[key]
+        for i, j in enumerate(which):
+            if j not in chunks:
+                chunks[j] = (low_digits[keep[j]],
+                             low_acc[:, keep[j]].transpose(0, 2, 1).copy())
+            digits, planes = chunks[j]
             end = at + len(digits)
             np.bitwise_or(digits, high_digits[i],
                           out=self.assignments[at:end])
-            np.bitwise_or.reduce(words ^ high_words[:, i], axis=0,
-                                 out=self._words[:, at:end])
             np.bitwise_or.reduce(planes ^ high_planes[:, i], axis=0,
                                  out=self._planes[:, at:end])
             at = end
@@ -153,20 +147,23 @@ class CutFamily:
 
     def values(self, g_mask):
         """Crossing count of g_mask for every cut, as an array of the
-        smallest unsigned dtype that holds C(n, 2) (uint8 up to n = 23)."""
+        smallest unsigned dtype that holds C(n, 2) (uint8 up to n = 23):
+        each plane ANDed with g_mask's byte of it and popcounted in the
+        scratch array, then the planes summed."""
         import numpy as np
-        vals = np.zeros(len(self), self._score)
-        for w, col in enumerate(self._words):
-            word = np.uint64((g_mask >> (64 * w)) & _WORD)
-            vals += np.bitwise_count(col & word)
-        return vals
+        scratch = self._scratch
+        mask = np.frombuffer(g_mask.to_bytes(len(scratch), "little"),
+                             np.uint8)
+        np.bitwise_and(self._planes, mask[:, None], out=scratch)
+        np.bitwise_count(scratch, out=scratch)
+        return scratch.sum(axis=0, dtype=self._score)
 
     def update(self, vals, old_mask, new_mask):
         """Turn vals, the scores of old_mask, into the scores of new_mask in
         place: a pair that left takes its crossing column off and a pair
         that entered adds it.  Exact for any two masks, and never below 0
         since the pairs that left go first; the column of pair e is
-        ``(_words[e >> 6] >> (e & 63)) & 1``, shifted out of its plane
+        ``(_planes[e >> 3] >> (e & 7)) & 1``, shifted out of its plane
         into one preallocated row."""
         import numpy as np
         col = self._column
@@ -183,10 +180,11 @@ class CutFamily:
         return int(b), (vals == b).nonzero()[0].tolist()
 
     def crossed_by_all(self, ids):
-        """Bitmask of the pairs that cross every cut in ids (nonempty)."""
+        """Bitmask of the pairs that cross every cut in ids (nonempty): the
+        AND of their plane columns, read as the little-endian mask."""
         import numpy as np
-        words = np.bitwise_and.reduce(self._words[:, ids], axis=1)
-        return int.from_bytes(words.astype("<u8").tobytes(), "little")
+        planes = np.bitwise_and.reduce(self._planes[:, ids], axis=1)
+        return int.from_bytes(planes.tobytes(), "little")
 
 
 def _half_table(r, vertices, pinned, stars, digit):
@@ -194,14 +192,15 @@ def _half_table(r, vertices, pinned, stars, digit):
     vertex in its part, in ``itertools.product`` order: (digits, counts,
     acc).  Row i of digits holds the assignment's digits (0 in the columns
     of other vertices), counts[i, k] the vertices in part k, and acc[k, i]
-    the XOR of the star words (stars[v]: the pairs touching v) of the
-    vertices in part k, for k < r-1.  Built one vertex at a time: row i
-    becomes rows r*i .. r*i + r-1, one per part of the new vertex."""
+    the XOR of the star planes (stars[v]: the pairs touching v, as
+    little-endian bytes) of the vertices in part k, for k < r-1.  Built
+    one vertex at a time: row i becomes rows r*i .. r*i + r-1, one per
+    part of the new vertex."""
     import numpy as np
-    n, n_words = stars.shape
+    n, n_planes = stars.shape
     digits = np.zeros((1, n), digit)
     counts = np.zeros((1, r), np.int64)
-    acc = np.zeros((r - 1, 1, n_words), np.uint64)
+    acc = np.zeros((r - 1, 1, n_planes), np.uint8)
     for v, k in pinned.items():
         digits[0, v] = k
         counts[0, k] += 1
@@ -215,23 +214,6 @@ def _half_table(r, vertices, pinned, stars, digit):
         for k in range(r - 1):
             acc[k, k::r] ^= stars[v]
     return digits, counts, acc
-
-
-def _bytes(words):
-    """The bytes of 64-bit words, least significant first, as a uint8
-    array with 8 times as many entries on the last axis."""
-    import numpy as np
-    return np.ascontiguousarray(words, "<u8").view(np.uint8)
-
-
-def _balanced_count(f, r, allowed):
-    """Number of assignments of f labelled vertices to parts 0..r-1 that
-    put s of them in part k only when allowed(k, s)."""
-    ways = [1] + [0] * f            # ways[t]: t vertices in the parts so far
-    for k in range(r):
-        ways = [sum(math.comb(t, s) * ways[t - s] for s in range(t + 1)
-                    if allowed(k, s)) for t in range(f + 1)]
-    return ways[f]
 
 
 def deficit(cut, g, fam):
@@ -254,12 +236,10 @@ def _equivalence_classes(fam, maxcut_ids):
     return sorted(sig.values(), key=lambda c: (-len(c), c))
 
 
-def rigidity_threshold(n, r, alpha, paper_literal=False):
-    """Pair-count threshold for rigidity.  The literal asymptotic form
-    (1-alpha)n^2/(2r) overshoots at small n; the corrected default counts
-    (1-alpha) of the pairs inside r balanced classes."""
-    if paper_literal:
-        return (1 - alpha) * n * n / (2 * r)
+def rigidity_threshold(n, r, alpha):
+    """Pair-count threshold for rigidity: (1-alpha) of the pairs inside r
+    balanced classes.  The literal asymptotic form (1-alpha)n^2/(2r)
+    overshoots it at small n."""
     s = math.ceil(n / r)
     return (1 - alpha) * r * (s * (s - 1) / 2)
 
@@ -315,16 +295,15 @@ class SwitchTrace:
     """Record of one switching run."""
 
     __slots__ = ("n", "g0_mask", "steps", "g_masks", "f_masks",
-                 "terminal", "params")
+                 "terminal")
 
-    def __init__(self, n, g0_mask, params):
+    def __init__(self, n, g0_mask):
         self.n = n
         self.g0_mask = g0_mask
         self.steps = []
         self.g_masks = [g0_mask]
         self.f_masks = [0]
         self.terminal = None
-        self.params = params
 
 
 def _q_in_core(colours, core):
@@ -335,15 +314,17 @@ def _q_in_core(colours, core):
 
 _SwitchRun = collections.namedtuple("_SwitchRun", (
     "fam", "q_mask", "ext_cut", "int_mask", "resid_masks", "colours",
-    "vertex_pairs", "m", "gamma_n2p", "alpha", "argmax"))
+    "vertex_pairs", "m", "gamma_n2p", "argmax"))
 
 
-def _switch_inputs(q, cut, fam, fam_resid, m, gamma_n2p, alpha):
-    """The constants of the branch logic for runs from a cut of the family:
-    q's edge mask, the cut's crossing and internal pairs, the residual
-    family as masks, the nonempty colour classes of q, the pairs that
-    touch each vertex, and the family's per-argmax-set results under
-    alpha (``_switch_branch``), shared by every run and validation on it."""
+def _switch_inputs(q, cut, fam, fam_resid, m, p):
+    """The constants of the branch logic for runs from a cut of the family
+    at edge density p: q's edge mask, the cut's crossing and internal
+    pairs, the residual family as masks, the nonempty colour classes of q,
+    the pairs that touch each vertex, the step-(b) threshold gamma n^2 p
+    with gamma = alpha/(24r) and alpha from PAPER_DEFAULTS, and the
+    family's per-argmax-set results (``_switch_branch``), shared by every
+    run and validation on it."""
     # index_of refuses a cut outside the family
     ext_cut = fam.crossed_by_all([fam.index_of(cut)])
     n = fam.n
@@ -352,9 +333,10 @@ def _switch_inputs(q, cut, fam, fam_resid, m, gamma_n2p, alpha):
     colours = [vk for vk in classes if vk]
     # internal pairs of the cut: its crossing pairs' complement within K_n
     int_mask = ((1 << (n * (n - 1) // 2)) - 1) & ~ext_cut
+    gamma = PAPER_DEFAULTS.alpha / (24 * fam.r)
     return _SwitchRun(fam, q.graph.edge_mask(), ext_cut, int_mask,
                       fam_resid, colours, _vertex_pairs(n), m,
-                      gamma_n2p, alpha, fam._argmax.setdefault(alpha, {}))
+                      gamma * n * n * p, fam._argmax)
 
 
 @functools.lru_cache(maxsize=None)
@@ -369,10 +351,10 @@ def _switch_branch(run, g_mask, f_mask, vals):
     of its union g_mask | f_mask over the family; callers score the first
     state of a trace and carry the scores to each next one by the pairs
     that changed (``CutFamily.update``).  What depends on the argmax set
-    alone, [the pairs crossing every cut in it, (rigid, core) once the
-    rigidity step needs it], is kept on the family (``run.argmax``, keyed
-    by the bytes of the cut ids), so a validation meets its run's sets
-    again.  Returns (type, choice set of edge indices as a bitmask or None,
+    alone, [the pairs crossing every cut in it, (rigid, core) at
+    PAPER_DEFAULTS.alpha once the rigidity step needs it], is kept on the
+    family (``run.argmax``, keyed by the bytes of the cut ids), so a
+    validation meets its run's sets again.  Returns (type, choice set of edge indices as a bitmask or None,
     maximum cut value of the union)."""
     import numpy as np
     fam = run.fam
@@ -396,7 +378,7 @@ def _switch_branch(run, g_mask, f_mask, vals):
         choice = (g_mask & crit & int_mask) & ~run.q_mask
         return "b", choice, b
     if facts[1] is None:
-        rep = _rigidity(fam, b, ids, run.alpha)
+        rep = _rigidity(fam, b, ids, PAPER_DEFAULTS.alpha)
         facts[1] = rep["rigid"], rep["core"]
     rigid, core = facts[1]
     if not rigid:
@@ -427,30 +409,24 @@ def _switch_branch(run, g_mask, f_mask, vals):
     return "stuck", None, b
 
 
-def run_switching(g0, q, cut, fam_resid, fam, vals, m, L, seed=0, p=None):
+def run_switching(g0, q, cut, fam_resid, fam, vals, m, L, p, seed=0):
     """Execute the switching algorithm for L rounds or until it stops.
 
     q: ColoredGraph structure contained in g0; cut: compatible balanced
     partition; fam_resid: residual family (subsets of non-q pairs of K_n);
     fam: the CutFamily; vals: its scores of g0,
     ``fam.values(g0.edge_mask())``, which each step moves in place by the
-    one pair it changed; m: the step-(a) threshold; gamma = alpha/(24r),
-    from PAPER_DEFAULTS, is recorded in the trace.  Removals and additions
-    are drawn uniformly from the sorted choice sets via the seeded stream.
+    one pair it changed; m: the step-(a) threshold; p: the edge density in
+    the step-(b) threshold gamma n^2 p (``_switch_inputs``).  Removals and
+    additions are drawn uniformly from the sorted choice sets via the
+    seeded stream.
     """
-    n = g0.n
-    if p is None:
-        p = g0.edge_count() / (n * (n - 1) / 2)
-    alpha = PAPER_DEFAULTS.alpha
-    gamma = alpha / (24 * fam.r)
-    run = _switch_inputs(q, cut, fam, fam_resid, m, gamma * n * n * p, alpha)
+    run = _switch_inputs(q, cut, fam, fam_resid, m, p)
     g_mask = g0.edge_mask()
     if run.q_mask & ~g_mask:
         raise ValueError("structure not contained in the start graph")
     rng = random.Random(seed)
-    params = {"m": m, "L": L, "gamma": gamma, "seed": seed, "p": p,
-              "alpha": alpha}
-    trace = SwitchTrace(n, g_mask, params)
+    trace = SwitchTrace(g0.n, g_mask)
     f_mask = 0
     for i in range(L):
         typ, choice, _ = _switch_branch(run, g_mask, f_mask, vals)
@@ -478,7 +454,7 @@ def run_switching(g0, q, cut, fam_resid, fam, vals, m, L, seed=0, p=None):
     return trace
 
 
-def validate_trace(trace, q, cut, d, fam, fam_resid, m, p=None):
+def validate_trace(trace, q, cut, d, fam, fam_resid, m, p):
     """Re-execute the branch logic of a trace and check the legal-sequence
     properties.
 
@@ -488,22 +464,17 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, p=None):
     overall; (iv) at most r^2(d+1) addition steps, runs of consecutive
     additions at most r^2, and an addition step never immediately followed
     by type c.  Also confirms each step's type matches the first applicable
-    branch, under the recorded gamma (else alpha/(24r)), and its edge
-    belongs to the recomputed choice set.  The first recorded state is
-    scored afresh and each later one from the previous one's scores by the
-    pairs where the two recorded unions differ, so every state is scored
-    as ``CutFamily.values`` would score it.  A trace
-    without one G and one F mask per state fails with no other check, and
-    one whose first state is not (G0, empty F) fails.
+    branch, under the thresholds run_switching uses (m, and gamma n^2 p
+    with gamma = alpha/(24r)), and its edge belongs to the recomputed
+    choice set.  The first recorded state is scored afresh and each later
+    one from the previous one's scores by the pairs where the two recorded
+    unions differ, so every state is scored as ``CutFamily.values`` would
+    score it.  A trace without one G and one F mask per state fails with
+    no other check, and one whose first state is not (G0, empty F) fails.
     Returns {"ok": bool, "violations": [...]}.
     """
-    n = trace.n
     r = fam.r
-    alpha = PAPER_DEFAULTS.alpha
-    if p is None:
-        p = trace.params.get("p")
-    gamma = trace.params.get("gamma", alpha / (24 * r))
-    run = _switch_inputs(q, cut, fam, fam_resid, m, gamma * n * n * p, alpha)
+    run = _switch_inputs(q, cut, fam, fam_resid, m, p)
     states = len(trace.steps) + 1
     if len(trace.g_masks) != states or len(trace.f_masks) != states:
         return {"ok": False, "violations": [(

@@ -9,6 +9,8 @@ from .graph import Graph, ColoredGraph, TooLargeError
 from .copies import subset_counts
 from .bounds import PAPER_DEFAULTS, upper_tail_rho
 
+EXACT_LIMIT = 24        # most edges _max_bounded_subgraph solves exactly
+
 
 class ConstructionInfeasible(Exception):
     """Raised when a finite-size instance cannot satisfy a construction's
@@ -177,14 +179,14 @@ class QFamily:
             self.kind, self.case_tag, self.q.edge_count(), self.q.k())
 
 
-def _max_bounded_subgraph(i, cap, exact_limit=24):
+def _max_bounded_subgraph(i, cap):
     """Largest subgraph with maximum degree <= cap.  Exact branch and bound
-    for small edge counts, greedy peeling beyond."""
+    up to EXACT_LIMIT edges, greedy peeling beyond."""
     edges = i.edges()
     m = len(edges)
     if all(i.degree(v) <= cap for v in range(i.n)):
         return i, "exact"
-    if m <= exact_limit:
+    if m <= EXACT_LIMIT:
         best = [-1, 0]
 
         def rec(idx, deg, kept, cnt):

@@ -89,9 +89,10 @@ def test_balanced_condition_k4_lambda():
 def test_mu_delta_fql_exact():
     h = named_graph("triangle")
     n = 12
-    q = Graph(n, [(0, 1)])
+    q = ColoredGraph(Graph(n, [(0, 1)]), [1, 2] + [0] * (n - 2))
     s = PartTuple.from_assignment([0] * 6 + [1] * 6)
-    rep = mu_delta_lemma_check("FQL", h, q, s, n, Fraction(1, 2))
+    rep = mu_delta_lemma_check("FQL", h, q, s, n, Fraction(1, 2),
+                               PatternProfile(h))
     assert rep["applicable"]
     assert rep["count_bound_holds"]
     # every low residual of the one-edge structure crossing s: the two free
@@ -101,9 +102,9 @@ def test_mu_delta_fql_exact():
 
 def test_mu_delta_empty_structure_vacuous():
     h = named_graph("triangle")
-    rep = mu_delta_lemma_check("FQL", h, Graph(8),
+    rep = mu_delta_lemma_check("FQL", h, ColoredGraph(Graph(8), [0] * 8),
                                PartTuple.from_assignment([0] * 4 + [1] * 4),
-                               8, 0.5)
+                               8, 0.5, PatternProfile(h))
     assert rep["vacuous_pass"]
 
 
@@ -113,7 +114,7 @@ def test_mu_delta_high():
     q = Graph(n, [(0, 2), (0, 3)])
     cg = ColoredGraph(q, [1, 0, 2, 2] + [0] * 6, centres=[0])
     s = PartTuple.from_assignment([0] * 5 + [1] * 5)
-    rep = mu_delta_lemma_check("high", h, cg, s, n, 0.5)
+    rep = mu_delta_lemma_check("high", h, cg, s, n, 0.5, PatternProfile(h))
     assert rep["applicable"]
     assert rep["k_Q"] == 1
     assert rep["family_size"] > 0

@@ -167,6 +167,33 @@ def test_verify_lemma_high_embedding_cap_is_a_guard_refusal(monkeypatch,
     assert "guard refusal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pattern", ["c5", "k4"])
+def test_verify_lemma_fql_embedding_cap_is_a_guard_refusal(monkeypatch,
+                                                           capsys, pattern):
+    # the "low" residual family counts its embeddings against the cap as
+    # the "high" one does, so a pattern as large as petersen is refused
+    # instead of enumerated without end
+    monkeypatch.setattr(copies, "EMBED_CAP", 10)
+    assert run(["verify-lemma", "--lemma", "fql", "--pattern", pattern]) == 5
+    assert "guard refusal: embedding cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pattern", ["4:0-1,1-2,2-3,3-0", "2:0-1"])
+def test_verify_lemma_pif_balanced_refuses_a_bipartite_pattern(monkeypatch,
+                                                               capsys,
+                                                               pattern):
+    # r = chi - 1 < 2 parts: refused as the other lemmas refuse it, before
+    # any hitting-set program runs
+    def no_milp(g, h):
+        raise AssertionError("ran the hitting-set program")
+
+    monkeypatch.setattr(cli, "max_H_free", no_milp)
+    assert run(["verify-lemma", "--lemma", "pif-balanced", "--pattern",
+                pattern, "--n", "10", "--trials", "1"]) == 2
+    assert capsys.readouterr().err == ("config error: pattern must have "
+                                       "chromatic number at least 3\n")
+
+
 def test_verify_lemma_pif_balanced_refuses_zero_trials(capsys):
     assert run(["verify-lemma", "--lemma", "pif-balanced",
                 "--trials", "0"]) == 2

@@ -16,11 +16,10 @@ from simonovits.copies import (embeddings, count_embeddings,
                                automorphism_count, enumerate_copies,
                                count_copies,
                                copies_as_hypergraph, induce,
-                               link, boundary,
                                critical_edge_and_anchor, residual_family,
                                janson_moments, subset_counts)
 from simonovits.patterns import is_edge_critical
-from simonovits.randgraphs import RngStream, sample_gnp
+from simonovits.randgraphs import RngStream, sample_gnp, typicality_report
 
 K3 = named_graph("triangle")
 
@@ -47,7 +46,7 @@ def test_embeddings_respect_fixed_images():
     fixed = {0: [2]}
     for img in embeddings(K3, host, fixed):
         assert img[0] == 2
-    assert count_embeddings(K3, host, fixed) == 4 * 3
+    assert sum(1 for _ in embeddings(K3, host, fixed)) == 4 * 3
 
 
 def test_matching_number_edge_disjoint_triangles():
@@ -61,16 +60,8 @@ def _mask(elements):
     return sum(1 << x for x in elements)
 
 
-def test_link_and_boundary_by_hand():
-    fam = [_mask({1, 2, 3}), _mask({3, 4, 5})]
-    assert link(fam, 3) == [_mask({1, 2}), _mask({4, 5})]
-    assert _mask({1, 2}) in boundary(fam)
-    assert len(boundary(fam)) == 6
-    assert induce(fam, _mask({1, 2, 3})) == [_mask({1, 2, 3})]
-
-
 # The frozenset forms of the family helpers, used before members became
-# bitmasks; kept as the oracles for the differential test below.
+# bitmasks; kept as the oracles for the differential tests below.
 def _ref_induce(family, ground):
     ground = set(ground)
     return [a for a in family if a <= ground]
@@ -143,11 +134,10 @@ def _ref_matching_number(family):
     return best[0]
 
 
-def _ref_janson_moments(family, p, exact=False):
+def _ref_janson_moments(family, p):
     fam = sorted(set(frozenset(a) for a in family),
                  key=lambda a: tuple(sorted(a)))
-    num = Fraction if exact else float
-    pv = num(p)
+    pv = Fraction(p)
     mu = sum(pv ** len(a) for a in fam)
     by_elem = {}
     for idx, a in enumerate(fam):
@@ -163,45 +153,67 @@ def _ref_janson_moments(family, p, exact=False):
 
 def _random_sets(rng):
     """A family of 0-40 sets of sizes 1-5 (repeats allowed) over a ground
-    of 1-40 elements, with a ground subset and an element."""
+    of 1-40 elements, with a ground subset."""
     ground = rng.randint(1, 40)
     fam = [frozenset(rng.sample(range(ground), rng.randint(1, min(5, ground))))
            for _ in range(rng.randint(0, 40))]
     sub = frozenset(x for x in range(ground) if rng.random() < 0.7)
-    return fam, sub, rng.randrange(ground)
+    return fam, sub
 
 
 @pytest.mark.parametrize("seed", range(200))
 def test_family_helpers_match_frozenset_forms(seed):
-    fam, sub, x = _random_sets(random.Random(seed))
+    fam, sub = _random_sets(random.Random(seed))
     masks = [_mask(a) for a in fam]
-    for got, want in ((induce(masks, _mask(sub)), _ref_induce(fam, sub)),
-                      (link(masks, x), _ref_link(fam, x)),
-                      (boundary(masks), _ref_boundary(fam))):
-        assert got == [_mask(a) for a in want]
+    assert induce(masks, _mask(sub)) == [_mask(a)
+                                         for a in _ref_induce(fam, sub)]
     if len(fam) <= 24:      # both branch and bounds are exponential in it
         assert matching_number(masks) == _ref_matching_number(fam)
-    p = Fraction(2, 3)
-    assert repr(janson_moments(masks, p, exact=True)) \
-        == repr(_ref_janson_moments(fam, p, exact=True))
-    # the float Delta adds the same terms, but in the order of a set whose
-    # layout followed frozenset iteration, so it may round differently in
-    # the last place (seed 82 does)
-    got, want = janson_moments(masks, 0.3), _ref_janson_moments(fam, 0.3)
-    assert math.isclose(got.pop("delta"), want.pop("delta"), rel_tol=1e-14)
-    assert repr(got) == repr(want)
+    for p in (Fraction(2, 3), 0.3):
+        assert repr(janson_moments(masks, p)) \
+            == repr(_ref_janson_moments(fam, p))
+
+
+def _reference_t3(h, g):
+    """typicality_report's T3 maxima as it took them before its one pass
+    over the copies: per pair, the boundary of the pair's link, and per
+    vertex, the boundary of the copies through it, each induced on g."""
+    n = g.n
+    fam = [frozenset(bitset_members(a))
+           for a in copies_as_hypergraph(h, complete_graph(n))]
+    ground = frozenset(bitset_members(g.edge_mask()))
+    edge = max(len(_ref_induce(_ref_boundary(_ref_link(fam, e)), ground))
+               for e in range(n * (n - 1) // 2))
+    stars = [frozenset(bitset_members(pair_mask(
+        n, ((v, w) for w in range(n) if w != v)))) for v in range(n)]
+    vert = max(len(_ref_induce(_ref_boundary([a for a in fam if a & star]),
+                               ground)) for star in stars)
+    return edge, vert
+
+
+@pytest.mark.parametrize("pattern", ["triangle", "c5", "k4"])
+def test_typicality_t3_matches_the_frozenset_links(pattern):
+    h = named_graph(pattern)
+    for n in (6, 8, 10):
+        for t, p in enumerate((0.3, 0.6, 0.9)):
+            g = sample_gnp(n, p, RngStream(17, 10 * n + t))
+            t3 = typicality_report(g, h, p)["T3"]
+            assert (t3["max_edge_link"], t3["max_vertex_link"]) \
+                == _reference_t3(h, g)
 
 
 def test_matching_number_of_c5_low_residuals_in_k8():
     # 6 is _ref_matching_number's answer, which takes over a second here
-    fam = residual_family(cycle_graph(5), Graph(8, [(0, 1)]), 8, "low")
+    fam = residual_family(cycle_graph(5), _structure(8, [(0, 1)]), 8, "low")
     assert len(fam) == 120
     assert matching_number(fam) == 6
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_janson_float_delta_ignores_element_labels(seed):
-    # 20-80 sets of sizes 1-5 over 5-40 elements, so that many pairs meet
+    # Delta of a float p is the exact Fraction of that float, so it does
+    # not depend on how the sets are laid out; 20-80 sets of sizes 1-5
+    # over 5-40 elements, so that many pairs meet
     rng = random.Random(seed)
     ground = rng.randint(5, 40)
     fam = [rng.sample(range(ground), rng.randint(1, 5))
@@ -227,9 +239,14 @@ def test_critical_edge_and_anchor():
         critical_edge_and_anchor(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
 
 
+def _structure(n, edges):
+    """The uncoloured structure with the given edges."""
+    return ColoredGraph(Graph(n, edges), [0] * n)
+
+
 def test_residual_family_low_single_edge():
     n = 10
-    q = Graph(n, [(0, 1)])
+    q = _structure(n, [(0, 1)])
     fam = residual_family(K3, q, n, "low")
     # triangles through the edge {0,1}: one per outside vertex, each the
     # two pairs joining it to 0 and 1
@@ -241,9 +258,8 @@ def _reference_residual_family(h, q, n):
     on q: every copy of h in K_n, kept when it shares one edge with q and
     spans one q-edge.  Returns the sorted residual family as K_n edge
     bitmasks."""
-    qg = q.graph if isinstance(q, ColoredGraph) else q
-    q_edges = frozenset(tuple(sorted(e)) for e in qg.edges())
-    q_mask = qg.edge_mask()
+    q_edges = frozenset(tuple(sorted(e)) for e in q.graph.edges())
+    q_mask = q.graph.edge_mask()
     residuals = set()
     for copy in enumerate_copies(h, complete_graph(n)):
         vs = {v for e in copy for v in e}
@@ -260,10 +276,10 @@ RESIDUAL_PATTERNS = {"triangle": K3, "c5": cycle_graph(5),
                      # copies through q need both orientations anchored
                      "paw": graph_from_spec("4:0-1,0-2,1-2,2-3")}
 RESIDUAL_STRUCTURES = {
-    "edge": lambda n: Graph(n, [(1, 3)]),
-    "path": lambda n: Graph(n, [(0, 2), (2, 4)]),
-    "triangle": lambda n: Graph(n, [(0, 1), (1, 4), (0, 4)]),
-    "matching": lambda n: Graph(n, [(0, 1), (2, 3)]),
+    "edge": lambda n: _structure(n, [(1, 3)]),
+    "path": lambda n: _structure(n, [(0, 2), (2, 4)]),
+    "triangle": lambda n: _structure(n, [(0, 1), (1, 4), (0, 4)]),
+    "matching": lambda n: _structure(n, [(0, 1), (2, 3)]),
     "coloured": lambda n: ColoredGraph(Graph(n, [(0, 1), (1, 2)]),
                                        [1, 2, 1] + [0] * (n - 3)),
 }
@@ -297,11 +313,11 @@ def test_residual_family_meets_each_copy_once_per_edge_stabiliser(
             yield img
 
     monkeypatch.setattr(copies, "embeddings", counted)
-    q = Graph(n, [(0, 1)])
+    q = _structure(n, [(0, 1)])
     fam = residual_family(h, q, n, "low")
     assert len(fam) == math.comb(n - 2, h.n - 2)
     # every copy through the one q-edge is kept, its residual the rest
-    assert set(visited) == {a | q.edge_mask() for a in fam}
+    assert set(visited) == {a | q.graph.edge_mask() for a in fam}
     assert set(visited.values()) == {per_copy}
 
 
@@ -334,17 +350,12 @@ def test_families_come_distinct_in_canonical_order(pattern):
         assert fam and _canonical(fam)
     copies_k7 = copies_as_hypergraph(h, complete_graph(7))
     assert copies_k7 and _canonical(copies_k7)
-    for element in (0, 5, 20):
-        lk = link(copies_k7, element)
-        assert lk and _canonical(lk) and 0 not in lk
-    bd = boundary(copies_k7)
-    assert bd and _canonical(bd) and 0 not in bd
 
 
 def test_janson_moments_triangles_in_k4():
     fam = copies_as_hypergraph(K3, complete_graph(4))
     p = Fraction(1, 2)
-    m = janson_moments(fam, p, exact=True)
+    m = janson_moments(fam, p)
     assert m["mu"] == 4 * p ** 3
     # every pair of the 4 triangles shares one edge: 6 pairs, union size 5
     assert m["delta"] == 6 * p ** 5

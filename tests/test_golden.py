@@ -47,6 +47,9 @@ CASES = [
                                       "petersen", "--pattern", "triangle"], 3),
     ("switching-n12.json", ["simulate-switching", "--n", "12", "--p", "0.5",
                             "--runs", "4", "--seed", "3"], 0),
+    ("switching-k4-n12.json", ["simulate-switching", "--pattern", "k4",
+                               "--n", "12", "--p", "0.7", "--runs", "4",
+                               "--seed", "1"], 0),
     ("lemma-fql.json", ["verify-lemma", "--lemma", "fql"], 0),
     ("lemma-high.json", ["verify-lemma", "--lemma", "high"], 0),
     ("lemma-balanced.json", ["verify-lemma", "--lemma", "balanced"], 0),

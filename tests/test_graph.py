@@ -9,7 +9,7 @@ from simonovits.graph import (Graph, PartTuple, ColoredGraph, edge_index,
                               complete_graph, cycle_graph,
                               complete_multipartite, blowup_plus,
                               disjoint_union, petersen_graph, named_graph,
-                              is_delta_balanced)
+                              graph_from_spec, is_delta_balanced)
 
 
 def is_bipartite(g):
@@ -55,6 +55,20 @@ def test_edge_mask_of_complete_graph(n):
 def test_parse_rejects_duplicate_edges():
     with pytest.raises(ValueError):
         parse_graph("3 2\n0 1\n1 0\n")
+
+
+def test_spec_resolves_a_name_a_file_or_an_inline_list(tmp_path):
+    # the plain text format is read from a file only: as a spec it is an
+    # unknown name, like any other word that names no graph and no file
+    text = "3 1\n0 1\n"
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert graph_from_spec(str(path)) == Graph(3, [(0, 1)])
+    assert graph_from_spec("3:0-1") == Graph(3, [(0, 1)])
+    assert graph_from_spec("c5") == cycle_graph(5)
+    for spec in (text, "foo bar", str(tmp_path / "missing")):
+        with pytest.raises(ValueError, match="unknown graph name"):
+            graph_from_spec(spec)
 
 
 def test_basic_invariants():

@@ -1,19 +1,22 @@
-"""Every optional parameter in the package is set by some call, every
+"""Every optional parameter in the package takes two values, every
 definition has a caller outside the tests, every stored attribute is read,
 and every imported name is used.
 
-An option that no call in the package, its tests or its benchmark passes
-always takes its default, so it is a constant spelled as a parameter.  A
-function, class or method that nothing in the package or its benchmark
-names is code that only its own tests keep alive.  Both checks match names
-alone, which can only hide a finding, never invent one: an `as_dict` method
-on `Constants` that nothing calls would pass the caller check, because
-`as_dict` also names the methods of `PatternProfile` and `SimonovitsVerdict`
-that the CLI calls.  An attribute that the package stores and nothing in
-it or its benchmark reads is a result computed to be thrown away; that
-check matches names too, so a field named `delta` would pass while
-`args.delta` is read.  An import that its module never reads, in the
-package, its tests or its benchmark, is a dependency that nothing needs."""
+An option that the calls in the package and its benchmark give one value
+only, or none, is a constant spelled as a parameter; an option that only
+the tests vary is one no user run varies, so the tests' calls do not
+count.  A call that omits the option gives its default, a literal is its
+own value, and any other expression counts as varying.  A function, class
+or method that nothing in the package or its benchmark names is code that
+only its own tests keep alive.  Both checks match names alone, which can
+only hide a finding, never invent one: an `as_dict` method on `Constants`
+that nothing calls would pass the caller check, because `as_dict` also
+names the methods of `PatternProfile` and `SimonovitsVerdict` that the CLI
+calls.  An attribute that the package stores and nothing in it or its
+benchmark reads is a result computed to be thrown away; that check matches
+names too, so a field named `delta` would pass while `args.delta` is read.
+An import that its module never reads, in the package, its tests or its
+benchmark, is a dependency that nothing needs."""
 
 import ast
 import pathlib
@@ -21,19 +24,45 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "simonovits"
 CALLERS = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+# the package and its benchmark: the calls that give an option its values
+RUNS = [ROOT / "src", ROOT / "perfbench"]
 
-# (function, parameter) pairs that stay unset on purpose, with the reason
+# (function, parameter) pairs that keep one value on purpose, with the reason
 ALLOWED = {
+    ("main", "argv"):
+        "the console entry point calls main() and reads sys.argv",
+    ("typicality_report", "part_families"):
+        "the only input of the report's T2 section",
     ("typicality_report", "qh_instances"):
         "the only input of the report's T5 section",
+    ("typicality_report", "pair_list"):
+        "the only input of the report's T7 section",
+    ("crit_edges", "rigidity"):
+        "the check that crit_edges (kept in UNCALLED) runs for the "
+        "acceptance suite's rigidity results",
 }
+
+VARIES = None           # the value of a non-literal argument
+
+
+def _value(node):
+    """A literal's value, as its repr, or VARIES for any other expression."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError, SyntaxError):
+        return VARIES
 
 
 def _options(source):
-    """(function, parameter, position) of each defaulted parameter outside
-    dunder methods; position is None for a keyword-only parameter, and a
-    method's position does not count self."""
+    """(function, parameter, position, default) of each defaulted
+    parameter outside dunder methods; position is None for a keyword-only
+    parameter, a method's position does not count self, and a default that
+    is no literal stands for itself."""
     found = []
+
+    def default(node):
+        value = _value(node)
+        return "<default %s>" % ast.dump(node) if value is VARIES else value
 
     def visit(node, in_class):
         for child in ast.iter_child_nodes(node):
@@ -46,12 +75,13 @@ def _options(source):
                     a = child.args
                     pos = a.posonlyargs + a.args
                     skip = 1 if in_class and pos else 0
-                    for i, arg in enumerate(pos):
-                        if i >= len(pos) - len(a.defaults):
-                            found.append((name, arg.arg, i - skip))
+                    first = len(pos) - len(a.defaults)
+                    for i, d in enumerate(a.defaults):
+                        found.append((name, pos[first + i].arg,
+                                      first + i - skip, default(d)))
                     for arg, d in zip(a.kwonlyargs, a.kw_defaults):
                         if d is not None:
-                            found.append((name, arg.arg, None))
+                            found.append((name, arg.arg, None, default(d)))
                 visit(child, False)
                 continue
             visit(child, in_class)
@@ -60,75 +90,95 @@ def _options(source):
     return found
 
 
-def _passed(sources):
-    """{function name: (keywords passed, most positional arguments)} over
-    every call in the sources; a call with *args or **kwargs passes
-    everything."""
-    seen = {}
+def _calls(sources):
+    """{function name: [its calls]} over the sources."""
+    calls = {}
     for source in sources:
         for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else \
-                f.attr if isinstance(f, ast.Attribute) else None
-            if name is None:
-                continue
-            kws, most = seen.setdefault(name, (set(), 0))
-            npos = len(node.args)
-            if any(isinstance(a, ast.Starred) for a in node.args):
-                npos = float("inf")
-            for kw in node.keywords:
-                if kw.arg is None:
-                    npos = float("inf")
-                    kws.add(None)
-                else:
-                    kws.add(kw.arg)
-            seen[name] = (kws, max(most, npos))
-    return seen
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _given(call, param, pos, default):
+    """The value a call gives the parameter; *args or **kwargs may give
+    it anything."""
+    for kw in call.keywords:
+        if kw.arg == param:
+            return _value(kw.value)
+        if kw.arg is None:
+            return VARIES
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return VARIES
+        if i == pos:
+            return _value(arg)
+    return default
 
 
 def _unset(option_sources, caller_sources):
-    seen = _passed(caller_sources)
-    unset = []
+    """The (function, parameter) pairs that the calls in caller_sources
+    give fewer than two values."""
+    calls = _calls(caller_sources)
+    unset = set()
     for source in option_sources:
-        for (func, param, pos) in _options(source):
-            kws, most = seen.get(func, (set(), 0))
-            if param in kws or None in kws:
-                continue
-            if pos is not None and most > pos:
-                continue
-            unset.append((func, param))
-    return unset
+        for (func, param, pos, default) in _options(source):
+            values = {_given(c, param, pos, default)
+                      for c in calls.get(func, ())}
+            if VARIES not in values and len(values) < 2:
+                unset.add((func, param))
+    return sorted(unset)
 
 
 def _read(paths):
     return [p.read_text() for p in paths]
 
 
+def _option_sources():
+    return (_read(sorted(SRC.glob("*.py"))),
+            _read(sorted(p for d in RUNS for p in d.rglob("*.py"))))
+
+
 def test_every_option_is_set_by_some_call():
-    options = _read(sorted(SRC.glob("*.py")))
-    callers = _read(sorted(p for d in CALLERS for p in d.rglob("*.py")))
-    unset = [o for o in _unset(options, callers) if o not in ALLOWED]
+    unset = [o for o in _unset(*_option_sources()) if o not in ALLOWED]
     assert unset == []
 
 
 def test_allowlisted_options_are_still_unset():
-    options = _read(sorted(SRC.glob("*.py")))
-    callers = _read(sorted(p for d in CALLERS for p in d.rglob("*.py")))
-    assert set(ALLOWED) <= set(_unset(options, callers))
+    assert set(ALLOWED) <= set(_unset(*_option_sources()))
 
 
 def test_checker_sees_keyword_positional_and_method_options():
     source = ("def f(a, b=1, c=2, *, d=3):\n    pass\n"
               "class A:\n    def g(self, x=0, y=0):\n        pass\n"
               "    def __init__(self, z=0):\n        pass\n"
-              "def h(u=0):\n    pass\n"
+              "def h(u=X):\n    pass\n"
               "f(0, 1)\nf(0, d=4)\nA().g(5)\nh(**{})\n")
     assert _options(source) == [
-        ("f", "b", 1), ("f", "c", 2), ("f", "d", None),
-        ("g", "x", 0), ("g", "y", 1), ("h", "u", 0)]
-    assert _unset([source], [source]) == [("f", "c"), ("g", "y")]
+        ("f", "b", 1, "1"), ("f", "c", 2, "2"), ("f", "d", None, "3"),
+        ("g", "x", 0, "0"), ("g", "y", 1, "0"),
+        ("h", "u", 0, "<default Name(id='X', ctx=Load())>")]
+    assert _unset([source], [source]) == [
+        ("f", "b"), ("f", "c"), ("g", "x"), ("g", "y")]
+
+
+def test_checker_counts_defaults_literals_and_varying_arguments():
+    # b: the default, the same literal and a name (varies); c: the default
+    # and another literal; d: the default and the same literal; e: a name;
+    # g: only ever omitted; m's x: the default, as a literal; h: *args
+    source = ("def f(a, b=1, c=2, d=3, *, e=None, g=0):\n    pass\n"
+              "class A:\n    def m(self, x=0):\n        pass\n"
+              "def h(u=0, v=0):\n    pass\n"
+              "f(0)\nf(0, 1, c=5)\nf(0, b, d=3)\nf(0, e=x)\n"
+              "A().m(0)\nh(*args)\n")
+    assert _unset([source], [source]) == [("f", "d"), ("f", "g"), ("m", "x")]
+    # calls elsewhere, such as the tests', give no value at all
+    assert _unset([source], [""]) == [
+        ("f", "b"), ("f", "c"), ("f", "d"), ("f", "e"), ("f", "g"),
+        ("h", "u"), ("h", "v"), ("m", "x")]
 
 
 # definitions that only tests reach, kept on purpose, with the reason

@@ -233,14 +233,12 @@ def test_p_threshold_shape():
     expect = prof.theta * 12 ** -0.5 * math.log(12) ** 0.5
     assert abs(p12 - min(1.0, expect)) < 1e-12
     assert prof.p_threshold(10 ** 6) < prof.p_threshold(100)
-    assert prof.p_threshold(12, c_mult=4.0) == min(1.0, 4 * expect)
     # the profile reads its own constants and gives the same floats
     for name in ("triangle", "c5", "k4"):
         h = named_graph(name)
         prof = PatternProfile(h)
         for n in (2, 8, 10, 12, 1000):
-            for c in (0.25, 1.0, 4.0):
-                assert prof.p_threshold(n, c) == p_threshold(h, n, c_mult=c)
+            assert prof.p_threshold(n) == p_threshold(h, n)
 
 
 def test_dense_min_degree_bound():

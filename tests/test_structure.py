@@ -59,12 +59,13 @@ def test_bounded_degree_subgraph_inequality():
         assert q.edge_count() * (g.max_degree() + 1) >= d * g.edge_count()
 
 
-def test_max_bounded_subgraph_exact_vs_greedy():
+def test_max_bounded_subgraph_exact_vs_greedy(monkeypatch):
     g = complete_graph(5)
-    exact, method = _max_bounded_subgraph(g, 2, exact_limit=24)
+    exact, method = _max_bounded_subgraph(g, 2)
     assert method == "exact"
     assert exact.edge_count() == 5      # 2-regular: a hamilton cycle
-    loose, method2 = _max_bounded_subgraph(g, 2, exact_limit=0)
+    monkeypatch.setattr(structure, "EXACT_LIMIT", 0)
+    loose, method2 = _max_bounded_subgraph(g, 2)
     assert method2 == "greedy"
     assert loose.max_degree() <= 2
     assert loose.edge_count() <= exact.edge_count()
