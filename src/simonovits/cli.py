@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -99,6 +100,8 @@ def scan_threshold(pattern, n_grid, trials=20, seed=0, p_grid=None,
         raise ConfigError("empty p grid")
     if p_grid is None and not multipliers:
         raise ConfigError("empty multiplier grid")
+    if p_grid is None and not all(map(math.isfinite, multipliers)):
+        raise ConfigError("multipliers must be finite: %r" % (multipliers,))
     h = graph_from_spec(pattern)
     profile = PatternProfile(h)
     cache = {}
@@ -210,8 +213,7 @@ def simulate_switching(pattern="triangle", n=12, p=0.5, runs=10, rounds=200,
     for t in range(runs):
         g = sample_gnp(n, p, RngStream(seed, t)).with_edge(0, 1)
         vals = fam.values(g.edge_mask())
-        cut = fam.cut(_stable_kth(vals,
-                                  (t * len(vals) // runs) % len(vals)))
+        cut = _stable_kth(vals, (t * len(vals) // runs) % len(vals))
         trace = run_switching(g, q, cut, fam_resid, fam, vals, m=m, L=rounds,
                               seed=seed * 1000003 + t, p=p)
         check = validate_trace(trace, q, cut, d=n * n, fam=fam,
@@ -286,6 +288,8 @@ def verify_lemma(lemma, pattern="triangle", n=12, p=0.6, delta=0.4,
         r = profile.r
         if sizes is None:
             sizes = [max(profile.v + 1, n // r)] * r
+        elif len(sizes) != r or any(sz < 1 for sz in sizes):
+            raise ConfigError("need r = %d positive sizes" % r)
         total = sum(sizes)
         if lemma == "fql":
             # the one-edge structure simulate_switching runs from

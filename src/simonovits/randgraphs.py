@@ -9,7 +9,6 @@ import random
 from .graph import Graph, all_pairs, bitset_members
 from .copies import copies_as_hypergraph
 
-ALGORITHM_ID = "mt19937-py"
 _MIX = 0x9E3779B97F4A7C15
 SLACK_SIGMAS = 3.0          # deviations the typicality report allows
 
@@ -20,15 +19,13 @@ class RngStream:
     samples on every platform."""
     seed: int
     stream_id: int = 0
-    algorithm_id: str = ALGORITHM_ID
 
     def generator(self):
         mixed = (self.seed * _MIX + self.stream_id) % (1 << 64)
         return random.Random(mixed)
 
     def child(self, k):
-        return RngStream(self.seed, self.stream_id * 1000003 + k + 1,
-                         self.algorithm_id)
+        return RngStream(self.seed, self.stream_id * 1000003 + k + 1)
 
 
 def sample_gnp(n, p, rng):

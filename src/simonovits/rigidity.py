@@ -2,7 +2,7 @@
 switching algorithm with its trace validator.
 
 A cut family is every balanced compatible r-part assignment, stored once:
-a digit array with one row per assignment, sorted, in which the columns of
+a digit array with one row per assignment, in which the columns of
 coloured vertices hold their pinned parts, and byte planes of their
 crossing masks, so that one numpy popcount scores every cut; rigidity
 depends on the full argmax set, so enumeration is exact with a hard guard
@@ -11,7 +11,6 @@ the scores by the pairs each step changes; what depends only on a state's
 set of maximum cuts is computed once per set and family.
 """
 
-import bisect
 import collections
 import functools
 import math
@@ -30,7 +29,8 @@ _CHUNK = 1 << 12
 class CutFamily:
     """All delta-balanced complete r-part assignments of [n] compatible
     with an optional coloured structure (vertices coloured k must land in
-    part k-1), in ``itertools.product`` order, so the rows are sorted.
+    part k-1), in ``itertools.product`` order; a cut is named by its row,
+    so this order fixes the start cut ``cli._stable_kth`` picks.
 
     Only the uncoloured vertices are enumerated; each coloured vertex's
     column holds its pinned digit.  ``assignments`` is a numpy array with
@@ -130,21 +130,6 @@ class CutFamily:
     def __len__(self):
         return len(self.assignments)
 
-    def index_of(self, cut):
-        """Index of a complete cut's assignment, by binary search over the
-        sorted rows; ValueError if the family does not hold it."""
-        assign = cut.assignment()
-        if len(assign) == self.n:
-            i = bisect.bisect_left(self.assignments, assign,
-                                   key=lambda row: row.tolist())
-            if i < len(self) and self.assignments[i].tolist() == assign:
-                return i
-        raise ValueError("cut not in family")
-
-    def cut(self, idx):
-        return PartTuple.from_assignment(self.assignments[idx].tolist(),
-                                         self.r)
-
     def values(self, g_mask):
         """Crossing count of g_mask for every cut, as an array of the
         smallest unsigned dtype that holds C(n, 2) (uint8 up to n = 23):
@@ -217,11 +202,12 @@ def _half_table(r, vertices, pinned, stars, digit):
 
 
 def deficit(cut, g, fam):
-    """(best family cut value, deficit of the given cut)."""
-    idx = fam.index_of(cut)
+    """(best family cut value, deficit of the cut in row ``cut`` of fam)."""
+    if not 0 <= cut < len(fam):
+        raise ValueError("cut not in family")
     vals = fam.values(g.edge_mask())
     b = int(vals.max())
-    return b, b - int(vals[idx])
+    return b, b - int(vals[cut])
 
 
 def _equivalence_classes(fam, maxcut_ids):
@@ -275,14 +261,14 @@ def _rigidity(fam, b, ids, alpha):
             "core_error": core_error}
 
 
-def crit_edges(g, fam, rigidity=None):
-    """Edges of g crossing every maximum cut of the family.  When a
-    rigidity result with a core is supplied, asserts crit contains the
-    core-crossing edges of g."""
+def crit_edges(g, fam, rigidity):
+    """Edges of g crossing every maximum cut of the family.  When the
+    rigidity result (``equivalence_and_rigidity``) has a core, asserts
+    crit contains the core-crossing edges of g."""
     gm = g.edge_mask()
     _, ids = fam.maxcut_ids(gm)
     mask = gm & fam.crossed_by_all(ids)
-    if rigidity and rigidity.get("core") is not None:
+    if rigidity["core"] is not None:
         core_ext = rigidity["core"].ext_mask() & gm
         if core_ext & ~mask:
             raise AssertionError("critical edges miss a core-crossing edge")
@@ -292,13 +278,11 @@ def crit_edges(g, fam, rigidity=None):
 # -- switching -----------------------------------------------------------
 
 class SwitchTrace:
-    """Record of one switching run."""
+    """Record of one switching run; each step is {"type", "edge"}."""
 
-    __slots__ = ("n", "g0_mask", "steps", "g_masks", "f_masks",
-                 "terminal")
+    __slots__ = ("g0_mask", "steps", "g_masks", "f_masks", "terminal")
 
-    def __init__(self, n, g0_mask):
-        self.n = n
+    def __init__(self, g0_mask):
         self.g0_mask = g0_mask
         self.steps = []
         self.g_masks = [g0_mask]
@@ -318,15 +302,16 @@ _SwitchRun = collections.namedtuple("_SwitchRun", (
 
 
 def _switch_inputs(q, cut, fam, fam_resid, m, p):
-    """The constants of the branch logic for runs from a cut of the family
-    at edge density p: q's edge mask, the cut's crossing and internal
-    pairs, the residual family as masks, the nonempty colour classes of q,
-    the pairs that touch each vertex, the step-(b) threshold gamma n^2 p
-    with gamma = alpha/(24r) and alpha from PAPER_DEFAULTS, and the
-    family's per-argmax-set results (``_switch_branch``), shared by every
-    run and validation on it."""
-    # index_of refuses a cut outside the family
-    ext_cut = fam.crossed_by_all([fam.index_of(cut)])
+    """The constants of the branch logic for runs from the cut in row cut
+    of the family at edge density p: q's edge mask, the cut's crossing
+    and internal pairs, the residual family as masks, the nonempty colour
+    classes of q, the pairs that touch each vertex, the step-(b) threshold
+    gamma n^2 p with gamma = alpha/(24r) and alpha from PAPER_DEFAULTS,
+    and the family's per-argmax-set results (``_switch_branch``), shared
+    by every run and validation on it."""
+    if not 0 <= cut < len(fam):
+        raise ValueError("cut not in family")
+    ext_cut = fam.crossed_by_all([cut])
     n = fam.n
     classes = [frozenset(v for v, c in enumerate(q.colour) if c == k)
                for k in range(1, fam.r + 1)]
@@ -412,21 +397,22 @@ def _switch_branch(run, g_mask, f_mask, vals):
 def run_switching(g0, q, cut, fam_resid, fam, vals, m, L, p, seed=0):
     """Execute the switching algorithm for L rounds or until it stops.
 
-    q: ColoredGraph structure contained in g0; cut: compatible balanced
-    partition; fam_resid: residual family (subsets of non-q pairs of K_n);
-    fam: the CutFamily; vals: its scores of g0,
-    ``fam.values(g0.edge_mask())``, which each step moves in place by the
-    one pair it changed; m: the step-(a) threshold; p: the edge density in
-    the step-(b) threshold gamma n^2 p (``_switch_inputs``).  Removals and
-    additions are drawn uniformly from the sorted choice sets via the
-    seeded stream.
+    q: ColoredGraph structure contained in g0; cut: the start cut's row
+    in fam, ValueError "cut not in family" outside ``range(len(fam))``;
+    fam_resid: residual family (subsets of non-q pairs of K_n); fam: the
+    CutFamily; vals: its scores of g0, ``fam.values(g0.edge_mask())``,
+    which each step moves in place by the one pair it changed; m: the
+    step-(a) threshold; p: the edge density in the step-(b) threshold
+    gamma n^2 p (``_switch_inputs``).  Removals and additions are drawn
+    uniformly from the sorted choice sets via the seeded stream.  Returns
+    a SwitchTrace.
     """
     run = _switch_inputs(q, cut, fam, fam_resid, m, p)
     g_mask = g0.edge_mask()
     if run.q_mask & ~g_mask:
         raise ValueError("structure not contained in the start graph")
     rng = random.Random(seed)
-    trace = SwitchTrace(g0.n, g_mask)
+    trace = SwitchTrace(g_mask)
     f_mask = 0
     for i in range(L):
         typ, choice, _ = _switch_branch(run, g_mask, f_mask, vals)
@@ -436,17 +422,14 @@ def run_switching(g0, q, cut, fam_resid, fam, vals, m, L, p, seed=0):
         if typ == "stuck" or not choice:
             trace.terminal = {"reason": "stuck", "branch": typ, "steps": i}
             break
-        size = choice.bit_count()
-        pos = rng.randrange(size)
-        e_idx = bitset_members(choice)[pos]
+        e_idx = bitset_members(choice)[rng.randrange(choice.bit_count())]
         union = g_mask | f_mask
         if typ == "d":
             f_mask |= 1 << e_idx
         else:
             g_mask &= ~(1 << e_idx)
         fam.update(vals, union, g_mask | f_mask)
-        trace.steps.append({"i": i, "type": typ, "edge": e_idx,
-                            "choice_size": size, "rng_pos": pos})
+        trace.steps.append({"type": typ, "edge": e_idx})
         trace.g_masks.append(g_mask)
         trace.f_masks.append(f_mask)
     else:
@@ -455,8 +438,8 @@ def run_switching(g0, q, cut, fam_resid, fam, vals, m, L, p, seed=0):
 
 
 def validate_trace(trace, q, cut, d, fam, fam_resid, m, p):
-    """Re-execute the branch logic of a trace and check the legal-sequence
-    properties.
+    """Re-execute the branch logic of a trace run from row cut of fam and
+    check the legal-sequence properties.
 
     (i) the final graph contains the structure; (ii) i = e(G0) - e(G_i) +
     e(F_i) with G_i, F_i disjoint; (iii) at most d removal steps of types
@@ -471,7 +454,8 @@ def validate_trace(trace, q, cut, d, fam, fam_resid, m, p):
     unions differ, so every state is scored as ``CutFamily.values`` would
     score it.  A trace without one G and one F mask per state fails with
     no other check, and one whose first state is not (G0, empty F) fails.
-    Returns {"ok": bool, "violations": [...]}.
+    Only each step's "type" and "edge" are read.  Returns {"ok": bool,
+    "violations": [...], "ab_steps": int, "d_steps": int}.
     """
     r = fam.r
     run = _switch_inputs(q, cut, fam, fam_resid, m, p)

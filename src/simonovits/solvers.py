@@ -144,15 +144,14 @@ def _max_cut_search(g, r, leaf=None, ceiling=None):
     return best_assign, best_val
 
 
-def max_r_cut(g, r, ceiling=None):
+def max_r_cut(g, r):
     """Largest number of crossing edges over complete r-part partitions:
-    (PartTuple, value) of the branch and bound's first best assignment,
-    or, given a ceiling on the value that the greedy floor already
-    reaches, of the floor's assignment.  Raises TooLargeError past
-    NODE_CAP search nodes."""
+    (PartTuple, value) of the branch and bound's first best assignment.
+    Raises ValueError for r < 2 and TooLargeError past NODE_CAP search
+    nodes."""
     if r < 2:
         raise ValueError("need r >= 2")
-    assign, val = _max_cut_search(g, r, ceiling=ceiling)
+    assign, val = _max_cut_search(g, r)
     return PartTuple.from_assignment(assign, r), val
 
 
@@ -609,7 +608,8 @@ class SimonovitsVerdict:
 
 def is_simonovits(g, h):
     """Decide whether every largest h-free subgraph of g is r-partite,
-    r = chi(h) - 1.  Returns a SimonovitsVerdict with certificate.
+    r = chi(h) - 1.  Returns a SimonovitsVerdict with certificate; a
+    pattern with r < 2 raises ValueError("need r >= 2") before any check.
 
     The best r-cut is searched under a ceiling, e(g) less a greedy packing
     of edge-disjoint copies of h (_cut_ceiling): the search stops at the
@@ -633,6 +633,8 @@ def is_simonovits(g, h):
     keeps its certificate and optima_count."""
     chi, critical = _pattern_facts(h)
     r = chi - 1
+    if r < 2:
+        raise ValueError("need r >= 2")
     if not critical and g.proper_colouring(r) is None:
         return SimonovitsVerdict(
             "no", reason="pattern not edge-critical: no host of chromatic "
@@ -642,7 +644,7 @@ def is_simonovits(g, h):
         return SimonovitsVerdict(
             "no", certificate=w,
             reason="free edges span a non-r-partite subgraph")
-    _, best_rp = max_r_cut(g, r, _cut_ceiling(g, h))
+    _, best_rp = _max_cut_search(g, r, ceiling=_cut_ceiling(g, h))
     mates = _twin_mates(g)
     if mates is not None:
         v = _decide_up_to_twins(g, h, r, best_rp, mates)

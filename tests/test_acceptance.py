@@ -262,7 +262,7 @@ def test_switching_validator(capsys):
             gm = g.edge_mask()
             vals = fam.values(gm).tolist()
             order = sorted(range(len(fam)), key=lambda i: vals[i])
-            cut = fam.cut(order[(t * 7) % (len(order) // 2 + 1)])
+            cut = order[(t * 7) % (len(order) // 2 + 1)]
             _, d0 = deficit(cut, g, fam)
             tr = run_switching(g, q, cut, fam_resid, fam, fam.values(gm),
                                m=2, L=200, seed=t, p=p)

@@ -75,6 +75,19 @@ def test_scan_threshold_config_errors():
                 "--p-grid", "2.0", "--trials", "1"]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_scan_threshold_refuses_a_non_finite_multiplier(monkeypatch, capsys,
+                                                       value):
+    def no_sampling(*args):
+        raise AssertionError("sampled a host")
+    monkeypatch.setattr(cli, "sample_gnp", no_sampling)
+    assert run(["scan-threshold", "--pattern", "triangle", "--n-grid", "8",
+                "--multipliers", "1," + value, "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: multipliers must be finite" in captured.err
+
+
 def test_simulate_switching(tmp_path):
     out = tmp_path / "sw.json"
     assert run(["simulate-switching", "--n", "10", "--p", "0.5",
@@ -230,6 +243,19 @@ def test_verify_lemma_refuses_meaningless_n_and_p(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: %s\n" % message
+
+
+@pytest.mark.parametrize("lemma, sizes", [
+    ("high", "3"), ("fql", "5,5,5"), ("fql", "0,0")],
+    ids=["high-one-part", "fql-three-parts", "fql-empty-parts"])
+def test_verify_lemma_refuses_sizes_that_are_not_r_parts(capsys, lemma,
+                                                         sizes):
+    # the triangle has r = 2
+    assert run(["verify-lemma", "--lemma", lemma, "--sizes", sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: need r = 2 positive "
+                                   "sizes")
 
 
 def test_verify_lemma_pif_balanced(tmp_path):
@@ -511,7 +537,8 @@ def test_malformed_inline_graphs_are_config_errors():
 
 
 def test_refused_max_cut_exits_5(monkeypatch, capsys):
-    # the refusal comes from max_r_cut, before the listing and its fallback
+    # the refusal comes from the max-cut search, before the listing and its
+    # fallback
     monkeypatch.setattr(solvers, "NODE_CAP", 100)
     k14 = "14:" + ",".join("%d-%d" % e for e in complete_graph(14).edges())
     assert run(["check-simonovits", "--graph", k14,
@@ -521,10 +548,24 @@ def test_refused_max_cut_exits_5(monkeypatch, capsys):
 
 
 def test_pattern_of_chromatic_number_2_exits_2(capsys):
-    # r = chi(K2) - 1 = 1: max_r_cut's refusal, before any ceiling is used
+    # r = chi(K2) - 1 = 1: the decision's refusal, before any search
     assert run(["check-simonovits", "--graph", "3:0-1",
                 "--pattern", "2:0-1"]) == 2
     assert "config error: need r >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("host, pattern", [
+    ("3:", "4:0-1,1-2,2-3,3-0"), ("k5", "4:0-1,1-2,2-3,3-0"), ("k5", "3:")],
+    ids=["c4-edgeless", "c4-k5", "edgeless-k5"])
+def test_pattern_below_chromatic_number_3_exits_2_on_every_host(
+        capsys, host, pattern):
+    # C4 (r = 1) is not edge-critical and the edgeless pattern (r = 0) has
+    # no edge: the refusal comes before the non-critical shortcut
+    assert run(["check-simonovits", "--graph", host,
+                "--pattern", pattern]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: need r >= 2\n"
 
 
 # a path on 1,100 vertices with a triangle (decided: its floor meets the

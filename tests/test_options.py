@@ -37,9 +37,6 @@ ALLOWED = {
         "the only input of the report's T5 section",
     ("typicality_report", "pair_list"):
         "the only input of the report's T7 section",
-    ("crit_edges", "rigidity"):
-        "the check that crit_edges (kept in UNCALLED) runs for the "
-        "acceptance suite's rigidity results",
 }
 
 VARIES = None           # the value of a non-literal argument

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from simonovits.graph import (Graph, ColoredGraph, PartTuple,
-                              TooLargeError, complete_graph, named_graph,
-                              all_pairs, edge_index)
+from simonovits.graph import (Graph, ColoredGraph, TooLargeError,
+                              complete_graph, named_graph, all_pairs,
+                              edge_index)
 from simonovits.randgraphs import RngStream, sample_gnp
 from simonovits.copies import residual_family
 from simonovits import rigidity
@@ -237,51 +237,6 @@ def test_cut_roundtrip_and_b_value():
     g = complete_graph(5)
     b = fam.maxcut_ids(g.edge_mask())[0]
     assert b == 6
-    idx = fam.index_of(fam.cut(3))
-    assert idx == 3
-
-
-def test_index_of_refuses_cuts_outside_the_family():
-    fam = CutFamily(6, 2, 0.0)
-    with pytest.raises(ValueError):
-        fam.index_of(PartTuple(6, [{0}, {1, 2, 3, 4, 5}]))     # unbalanced
-    with pytest.raises(ValueError):
-        fam.index_of(PartTuple(6, [{0, 1, 2}, {3, 4}]))       # leaves 5 out
-    with pytest.raises(ValueError):
-        fam.index_of(PartTuple(5, [{0, 1}, {2, 3, 4}]))       # other n
-    cut = PartTuple(6, [{0, 2, 4}, {1, 3, 5}])
-    assert fam.cut(fam.index_of(cut)) == cut
-
-
-@pytest.mark.parametrize("n,r,delta,coloured", [
-    (10, 2, 0.4, True), (8, 3, 0.4, False), (7, 3, 0.999, "2:3,4:1"),
-    (3, 257, 257, "1:200,2:257")])
-def test_index_of_round_trips_every_row(n, r, delta, coloured):
-    fam = CutFamily(n, r, delta, q=_coloured(n, coloured)[0])
-    assert [fam.index_of(fam.cut(i)) for i in range(len(fam))] == \
-        list(range(len(fam)))
-
-
-@pytest.mark.parametrize("r", [2, 3, 257])
-def test_index_of_refuses_foreign_cuts_with_value_error(r):
-    # digits are one byte up to r = 256 and two bytes above it, so a part
-    # 256 (65536) above a row's digit would wrap onto that row if cast
-    if r == 257:
-        fam = CutFamily(3, r, r, q=ColoredGraph(Graph(3), [0, 200, 0]))
-    else:
-        fam = CutFamily(4, r, 0.999)
-    n = fam.n
-    row = fam.assignments[len(fam) // 2].tolist()
-    wide = max(row) + (256 if r < 256 else 65536)
-    for assign in (row[:-1] + [-1],         # leaves the last vertex out
-                   row[:-1] + [wide],       # more parts than r
-                   row[:-1] + [r]):
-        parts = [{v for v in range(n) if assign[v] == k}
-                 for k in range(max(assign) + 1)]
-        with pytest.raises(ValueError):
-            fam.index_of(PartTuple(n, parts))
-    with pytest.raises(ValueError):
-        fam.index_of(PartTuple(n + 1, [set(range(n + 1))]))
 
 
 def test_stable_kth_matches_stable_argsort():
@@ -301,8 +256,7 @@ def test_stable_kth_matches_stable_argsort():
 def test_deficit():
     fam = CutFamily(6, 2, 0.0)
     g = complete_graph(6)
-    cut = fam.cut(0)
-    b, d = deficit(cut, g, fam)
+    b, d = deficit(0, g, fam)
     assert b == 9 and d == 0       # all balanced cuts of K6 are maximum
 
 
@@ -375,7 +329,7 @@ def test_switching_runs_and_validates():
         g = sample_gnp(n, p, RngStream(77, t)).with_edge(0, 1)
         vals = fam.values(g.edge_mask()).tolist()
         order = sorted(range(len(fam)), key=lambda i: vals[i])
-        cut = fam.cut(order[len(order) // 4])
+        cut = order[len(order) // 4]
         tr = run_switching(g, q, cut, fam_resid, fam,
                            fam.values(g.edge_mask()), m=2, L=200, seed=t, p=p)
         res = validate_trace(tr, q, cut, d=60, fam=fam,
@@ -395,8 +349,23 @@ def test_switching_requires_structure_inside():
     fam_resid = residual_family(K3, q, n, "low")
     g = Graph(n, [(2, 3)])
     with pytest.raises(ValueError):
-        run_switching(g, q, fam.cut(0), fam_resid, fam,
+        run_switching(g, q, 0, fam_resid, fam,
                       fam.values(g.edge_mask()), m=2, L=10, p=0.5)
+
+
+def test_switching_refuses_rows_outside_the_family():
+    # a cut is its row: -1 would index the last row and len(fam) none
+    tr, q, cut, fam, fam_resid, p = _one_trace()
+    g = sample_gnp(fam.n, p, RngStream(88, 4)).with_edge(0, 1)
+    for row in (-1, len(fam)):
+        with pytest.raises(ValueError, match="cut not in family"):
+            run_switching(g, q, row, fam_resid, fam,
+                          fam.values(g.edge_mask()), m=2, L=10, p=p)
+        with pytest.raises(ValueError, match="cut not in family"):
+            validate_trace(tr, q, row, d=60, fam=fam, fam_resid=fam_resid,
+                           m=2, p=p)
+        with pytest.raises(ValueError, match="cut not in family"):
+            deficit(row, g, fam)
 
 
 def _one_trace(seed=4, p=0.5, n=12):
@@ -406,7 +375,7 @@ def _one_trace(seed=4, p=0.5, n=12):
     g = sample_gnp(n, p, RngStream(88, seed)).with_edge(0, 1)
     vals = fam.values(g.edge_mask()).tolist()
     order = sorted(range(len(fam)), key=lambda i: vals[i])
-    cut = fam.cut(order[len(order) // 4])
+    cut = order[len(order) // 4]
     tr = run_switching(g, q, cut, fam_resid, fam, fam.values(g.edge_mask()),
                        m=2, L=200, seed=seed, p=p)
     return tr, q, cut, fam, fam_resid, p
@@ -472,7 +441,7 @@ def test_validator_catches_a_trace_run_from_another_graph():
     assert g.edge_count() == other.edge_count() == 33
     vals = fam.values(g.edge_mask()).tolist()
     order = sorted(range(len(fam)), key=lambda i: vals[i])
-    cut = fam.cut(order[len(order) // 4])
+    cut = order[len(order) // 4]
     tr = run_switching(g, q, cut, fam_resid, fam, fam.values(g.edge_mask()),
                        m=2, L=200, seed=20, p=p)
     assert len(tr.steps) == 14
@@ -535,7 +504,7 @@ def test_switch_branch_scores_each_state_once(monkeypatch):
     # a fresh scoring of that state's union
     seed = next(s for s in range(20) if len(_one_trace(seed=s)[0].steps) >= 2)
     tr, q, cut, fam, fam_resid, p = _one_trace(seed=seed)
-    g = sample_gnp(tr.n, p, RngStream(88, seed)).with_edge(0, 1)
+    g = sample_gnp(fam.n, p, RngStream(88, seed)).with_edge(0, 1)
     unions = [gm | fm for gm, fm in zip(tr.g_masks, tr.f_masks)]
     values, full, seen = _spy_scores(monkeypatch)
     again = run_switching(g, q, cut, fam_resid, fam, fam.values(g.edge_mask()),
@@ -577,7 +546,7 @@ def test_carried_scores_match_fresh_scoring(monkeypatch, h, n, r, p):
         g = sample_gnp(n, p, RngStream(91, t)).with_edge(0, 1)
         vals = values(fam, g.edge_mask())
         order = sorted(range(len(fam)), key=lambda i: vals[i])
-        cut = fam.cut(order[t * len(order) // 4])
+        cut = order[t * len(order) // 4]
         full.clear()
         seen.clear()
         tr = run_switching(g, q, cut, fam_resid, fam,
@@ -632,7 +601,7 @@ def test_argmax_set_work_is_done_once_per_family(monkeypatch, h, n, r, p):
         g = sample_gnp(n, p, RngStream(93, t)).with_edge(0, 1)
         vals = fam.values(g.edge_mask())
         order = sorted(range(len(fam)), key=lambda i: vals[i])
-        cut = fam.cut(order[t * len(order) // 4])
+        cut = order[t * len(order) // 4]
         starts += 2 * [np.asarray([order[t * len(order) // 4]]).tobytes()]
         tr = run_switching(g, q, cut, fam_resid, fam, vals, m=3, L=200,
                            seed=t, p=p)

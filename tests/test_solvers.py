@@ -166,7 +166,8 @@ def test_cut_ceiling_bounds_the_best_cut():
                 ceiling = solvers._cut_ceiling(g, h)
                 top = max_r_cut(g, r)[1]
                 assert top <= ceiling
-                assert max_r_cut(g, r, ceiling)[1] == top
+                assert solvers._max_cut_search(g, r, ceiling=ceiling)[1] \
+                    == top
     # K4 packs one triangle: the ceiling 5 is above the best cut, 4
     assert solvers._cut_ceiling(K4, K3) == 5
 
